@@ -17,21 +17,20 @@
 #include "source/cost_ledger.h"
 #include "source/source_wrapper.h"
 
-/// Source-call machinery shared by the sequential interpreter
-/// (exec/executor.cc) and the parallel executor (exec/parallel_executor.cc).
-/// Both paths must charge, retry, back off, breaker-gate, and cache
-/// identically — that is what makes their ledgers byte-comparable in tests.
-/// It is also where the observability layer hooks in: every wrapper call
-/// attempt gets a `source_call` span (one per ledger charge) and a
-/// source_calls_total metric tick, retries get `retry` spans (covering the
-/// backoff sleep) and retries_total, and per-execution counts accumulate
-/// into a CallStats for the ExecutionReport.
+/// Source-call machinery behind the plan-op kernel in exec/executor.cc: how
+/// one call is charged, retried, backed off, breaker-gated and cached,
+/// whichever scheduler — eager, lazy or parallel — runs the op. It is also
+/// where the observability layer hooks in: every wrapper call attempt gets a
+/// `source_call` span (one per ledger charge) and a source_calls_total
+/// metric tick, retries get `retry` spans (covering the backoff sleep) and
+/// retries_total, and per-execution counts accumulate into a CallStats for
+/// the ExecutionReport.
 namespace fusion {
 namespace exec_internal {
 
-/// Per-execution observability counters, surfaced on ExecutionReport. The
-/// parallel executor gives each op a private CallStats and merges them
-/// after the pool joins (same discipline as the sub-ledgers).
+/// Per-execution observability counters, surfaced on ExecutionReport. Each
+/// plan op gets a private CallStats, merged after the op's scheduler is done
+/// (same discipline as the sub-ledgers).
 struct CallStats {
   size_t retries = 0;
   size_t cache_hits = 0;
@@ -259,7 +258,7 @@ Result<ItemSet> CachedSelect(SourceWrapper& source, const Condition& cond,
                              const ExecOptions& options, CostLedger& ledger,
                              CallContext ctx, const char* op_tag = "sq");
 
-/// One semijoin op's source interaction, shared by both executors: answers
+/// One semijoin op's source interaction: answers
 /// from the cache when possible (exact sjq entry, candidate-superset sjq,
 /// cached sq, or cached relation — all free), otherwise dispatches on the
 /// source's semijoin capability (native call, per-binding emulation, or

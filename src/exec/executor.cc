@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "exec/exec_internal.h"
-#include "exec/parallel_executor.h"
 #include "exec/source_health.h"
+#include "exec/thread_pool.h"
 
 namespace fusion {
 namespace {
@@ -126,96 +129,231 @@ Status ValidateExecOptions(const ExecOptions& options) {
 
 namespace {
 
-/// Shared interpreter for eager and lazy execution. In lazy mode, variables
-/// are evaluated on demand starting from the plan result, and empty
-/// accumulators cut off remaining operand subtrees.
-class PlanInterpreter {
+using Clock = std::chrono::steady_clock;
+
+/// Op-private outputs of one kernel evaluation. Only the op's own
+/// evaluation writes its slot, so a scheduler may run ops on any thread once
+/// their inputs are complete; Merge reads the slots after all ops finished.
+struct OpOutput {
+  CostLedger ledger;  // this op's charges, failed attempts included
+  CallStats stats;
+  double seconds = 0.0;  // evaluation time, excluding lazily demanded inputs
+  bool emulated = false;         // semijoin answered by per-binding probes
+  bool short_circuited = false;  // lazy ∅-candidate semijoin: no source call
+};
+
+/// One plan execution: the SSA variables, the per-op outputs, the EvalOp
+/// kernel that evaluates one plan op into them, and the three schedulers
+/// that decide which op runs when — eager (plan order), lazy (demand-driven
+/// from the result, with sound short-circuits) and parallel (dependency DAG
+/// over a thread pool). Merge then folds the op outputs into the report in
+/// the order the scheduler recorded.
+class PlanRun {
  public:
-  PlanInterpreter(const Plan& plan, const SourceCatalog& catalog,
-                  const FusionQuery& query, const ExecOptions& options,
-                  exec_internal::FaultState* fault, ExecutionReport& report)
+  PlanRun(const Plan& plan, const SourceCatalog& catalog,
+          const FusionQuery& query, const ExecOptions& options,
+          exec_internal::FaultState* fault)
       : plan_(plan),
         catalog_(catalog),
         query_(query),
         options_(options),
         fault_(fault),
-        report_(report) {
-    report_.per_source_items.assign(catalog.size(), ItemSet());
-    report_.per_op_cost.assign(plan.num_ops(), 0.0);
-    report_.per_op_seconds.assign(plan.num_ops(), 0.0);
-    report_.per_op_cache.assign(plan.num_ops(), '-');
-    items_.resize(plan.vars().size());
-    relations_.resize(plan.vars().size());
-    defining_op_.assign(plan.vars().size(), -1);
-    for (size_t k = 0; k < plan.ops().size(); ++k) {
-      defining_op_[static_cast<size_t>(plan.ops()[k].target)] =
-          static_cast<int>(k);
+        lazy_(options.lazy_short_circuit),
+        items_(plan.vars().size()),
+        relations_(plan.vars().size()),
+        defining_op_(plan.vars().size(), 0),
+        outputs_(plan.num_ops()),
+        reasons_(plan.num_ops()) {
+    for (size_t k = 0; k < plan.num_ops(); ++k) {
+      defining_op_[static_cast<size_t>(plan.ops()[k].target)] = k;
     }
-    reasons_.assign(plan.num_ops(), "");
     if (options.on_source_failure == SourceFailurePolicy::kDegrade) {
       degradable_ = exec_internal::DegradableOps(plan);
     }
   }
 
+  /// Every op, in plan order.
   Status RunEager() {
-    for (size_t k = 0; k < plan_.ops().size(); ++k) {
-      FUSION_RETURN_IF_ERROR(EvalOp(k, /*lazy=*/false));
+    for (size_t k = 0; k < plan_.num_ops(); ++k) {
+      FUSION_RETURN_IF_ERROR(EvalOp(k, nullptr));
+      order_.push_back(k);
     }
-    report_.answer = *items_[plan_.result()];
-    ExportStats();
     return Status::Ok();
   }
 
-  Status RunLazy() {
-    FUSION_RETURN_IF_ERROR(EvalVar(plan_.result(), /*lazy=*/true));
-    report_.answer = *items_[plan_.result()];
-    // Everything never demanded counts as skipped, plus ops that were
-    // answered locally without their source call.
-    report_.skipped_ops = short_circuited_;
-    for (size_t k = 0; k < plan_.ops().size(); ++k) {
-      const int target = plan_.ops()[k].target;
-      if (!items_[target].has_value() && !relations_[target].has_value()) {
-        ++report_.skipped_ops;
+  /// Only the ops the result demands; EvalOp requests each input just
+  /// before it needs it, so the short-circuits can leave subtrees unrun.
+  Status RunLazy() { return Demand(plan_.result()); }
+
+  /// The op dependency DAG over a pool of options.parallelism workers. An
+  /// op waits for the ops defining its inputs and for the previous op on
+  /// its source: a source answers one query at a time (the model
+  /// ComputeResponseTime prices), which also keeps per-source wrapper state
+  /// race-free within one execution. Workers write only op-private slots;
+  /// the scheduler mutex orders an op's completion before the dispatch of
+  /// its dependents, which makes their reads of its outputs race-free.
+  Status RunParallel() {
+    const size_t num_ops = plan_.num_ops();
+    std::vector<std::vector<size_t>> dependents(num_ops);
+    std::vector<size_t> pending(num_ops, 0);
+    std::vector<int> last_on_source(catalog_.size(), -1);
+    for (size_t k = 0; k < num_ops; ++k) {
+      const PlanOp& op = plan_.ops()[k];
+      std::vector<size_t> deps;
+      if (op.input >= 0) deps.push_back(defining_op_[op.input]);
+      for (int v : op.inputs) deps.push_back(defining_op_[v]);
+      if (op.source >= 0) {
+        int& last = last_on_source[static_cast<size_t>(op.source)];
+        if (last >= 0) deps.push_back(static_cast<size_t>(last));
+        last = static_cast<int>(k);
+      }
+      std::sort(deps.begin(), deps.end());
+      deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+      for (size_t d : deps) dependents[d].push_back(k);
+      pending[k] = deps.size();
+    }
+
+    std::mutex mu;  // guards pending, scheduled, finished, error
+    std::condition_variable done_cv;
+    size_t scheduled = 0;
+    size_t finished = 0;
+    Status error;  // the first failure; no op is dispatched after it
+    std::function<void(size_t)> dispatch;  // requires mu held
+    {
+      ThreadPool pool(options_.parallelism);
+      dispatch = [&](size_t k) {
+        ++scheduled;
+        pool.Submit([&, k] {
+          const Status status = EvalOp(k, &pool);
+          std::lock_guard<std::mutex> lock(mu);
+          if (!status.ok()) {
+            if (error.ok()) error = status;
+          } else if (error.ok()) {
+            for (const size_t d : dependents[k]) {
+              if (--pending[d] == 0) dispatch(d);
+            }
+          }
+          ++finished;
+          done_cv.notify_all();
+        });
+      };
+      std::unique_lock<std::mutex> lock(mu);
+      for (size_t k = 0; k < num_ops; ++k) {
+        if (pending[k] == 0) dispatch(k);
+      }
+      done_cv.wait(lock, [&] {
+        return finished == scheduled && (!error.ok() || finished == num_ops);
+      });
+    }  // the lock is released, then the pool joins every dispatched task
+    if (!error.ok()) return error;
+    // Merge in plan-op order, so the ledger matches eager execution
+    // charge-for-charge (and total-for-total in floating point).
+    for (size_t k = 0; k < num_ops; ++k) order_.push_back(k);
+    return Status::Ok();
+  }
+
+  /// Folds the outputs of the ops the scheduler ran into `report`, in the
+  /// order it recorded them: plan order for eager and parallel runs,
+  /// completion order for lazy ones (an op charges only after its inputs
+  /// complete, so that is lazy's charge order).
+  Status Merge(ExecutionReport& report) {
+    const size_t num_ops = plan_.num_ops();
+    report.per_op_cost.assign(num_ops, 0.0);
+    report.per_op_seconds.assign(num_ops, 0.0);
+    report.per_op_cache.assign(num_ops, '-');
+    report.per_source_items.assign(catalog_.size(), ItemSet());
+    report.skipped_ops = num_ops - order_.size();
+    CallStats stats;
+    for (const size_t k : order_) {
+      OpOutput& out = outputs_[k];
+      report.per_op_cost[k] = out.ledger.total();
+      report.per_op_seconds[k] = out.seconds;
+      // Containment hits are double-counted inside misses (the exact key
+      // did miss), so a "real" miss is a miss beyond the containment count.
+      if (out.stats.cache_misses > out.stats.cache_containment_hits) {
+        report.per_op_cache[k] = 'm';
+      } else if (out.stats.cache_containment_hits > 0) {
+        report.per_op_cache[k] = 'c';
+      } else if (out.stats.cache_hits > 0) {
+        report.per_op_cache[k] = 'h';
+      }
+      report.ledger.MergeFrom(std::move(out.ledger));
+      stats.MergeFrom(out.stats);
+      if (out.emulated) ++report.emulated_semijoins;
+      if (out.short_circuited) ++report.skipped_ops;
+      // Witness knowledge: every item a source returned is held there. A
+      // ∅-substituted op returned nothing.
+      const PlanOp& op = plan_.ops()[k];
+      if (op.source < 0 || !reasons_[k].empty()) continue;
+      ItemSet& observed =
+          report.per_source_items[static_cast<size_t>(op.source)];
+      if (relations_[op.target].has_value()) {
+        FUSION_ASSIGN_OR_RETURN(
+            ItemSet all_items,
+            relations_[op.target]->SelectItems(Condition::True(),
+                                               query_.merge_attribute()));
+        observed.UnionInPlace(all_items);
+      } else {
+        observed.UnionInPlace(*items_[op.target]);
       }
     }
-    ExportStats();
+    report.answer = std::move(*items_[plan_.result()]);
+    report.retries_total = stats.retries;
+    report.cache_hits = stats.cache_hits;
+    report.cache_misses = stats.cache_misses;
+    report.cache_containment_hits = stats.cache_containment_hits;
+    report.breaker_fast_fails = stats.breaker_fast_fails;
+    report.semijoin_probes_skipped = stats.semijoin_probes_skipped;
+    exec_internal::BuildCompletenessReport(plan_, reasons_,
+                                           &report.completeness);
     return Status::Ok();
   }
 
  private:
-  void ExportStats() {
-    report_.retries_total = stats_.retries;
-    report_.cache_hits = stats_.cache_hits;
-    report_.cache_misses = stats_.cache_misses;
-    report_.cache_containment_hits = stats_.cache_containment_hits;
-    report_.breaker_fast_fails = stats_.breaker_fast_fails;
-    report_.semijoin_probes_skipped = stats_.semijoin_probes_skipped;
-    exec_internal::BuildCompletenessReport(plan_, reasons_,
-                                           &report_.completeness);
+  bool Evaluated(int var) const {
+    return items_[var].has_value() || relations_[var].has_value();
   }
 
-  /// The fault-tolerance call context for op k's source interactions.
-  /// CachedSelect / EmulateSemiJoin override op/source_name/ledger.
-  CallContext ContextFor(const char* op_name, const SourceWrapper& src,
-                         int source) {
+  /// Lazy scheduler: evaluates the op defining `var` unless it already ran.
+  Status Demand(int var) {
+    if (Evaluated(var)) return Status::Ok();
+    const size_t k = defining_op_[var];
+    FUSION_RETURN_IF_ERROR(EvalOp(k, nullptr));
+    order_.push_back(k);
+    return Status::Ok();
+  }
+
+  /// Makes input `var` available to the op being evaluated. Eager and
+  /// parallel runs complete every input first, so this acts only in lazy
+  /// mode, where it demands the input with the caller's clock (`start`)
+  /// stopped: per-op seconds exclude the inputs' own evaluation.
+  Status Input(int var, Clock::time_point& start) {
+    if (!lazy_) return Status::Ok();
+    const Clock::time_point paused = Clock::now();
+    const Status status = Demand(var);
+    start += Clock::now() - paused;
+    return status;
+  }
+
+  /// The fault-tolerance call context for op k's source interactions; the
+  /// Cached* helpers fill in the op tag and source name.
+  CallContext ContextFor(int source, OpOutput& out, ThreadPool* pool) const {
     CallContext ctx;
-    ctx.op = op_name;
-    ctx.source_name = &src.name();
-    ctx.ledger = &report_.ledger;
-    ctx.stats = &stats_;
+    ctx.ledger = &out.ledger;
+    ctx.stats = &out.stats;
     ctx.retry = &options_.retry;
     ctx.fault = fault_;
     ctx.health = options_.health;
     ctx.source_index = source;
+    ctx.blocking_pool = pool;
     return ctx;
   }
 
   /// Degraded-mode absorption of an exhausted source call: substitutes ∅
-  /// (or an empty relation) for op k and records the exclusion when that is
-  /// provably sound; otherwise returns `status`, failing the query.
-  Status HandleSourceFailure(size_t k, const PlanOp& op, const Status& status) {
-    if (options_.on_source_failure != SourceFailurePolicy::kDegrade ||
-        degradable_.empty() || degradable_[k] == 0 ||
+  /// (or an empty relation) for op k and records why, when that is provably
+  /// sound; otherwise returns `status`, failing the query.
+  Status Absorb(size_t k, const PlanOp& op, const Status& status) {
+    if (degradable_.empty() || degradable_[k] == 0 ||
         !exec_internal::IsDegradableFailure(status)) {
       return status;
     }
@@ -229,19 +367,15 @@ class PlanInterpreter {
     return Status::Ok();
   }
 
-  /// Ensures the op defining `var` has run (recursively, in lazy mode).
-  Status EvalVar(int var, bool lazy) {
-    if (items_[var].has_value() || relations_[var].has_value()) {
-      return Status::Ok();
-    }
-    return EvalOp(static_cast<size_t>(defining_op_[var]), lazy);
-  }
-
-  Status EvalOp(size_t k, bool lazy) {
+  /// The kernel: evaluates plan op k, whose inputs are complete (or, in
+  /// lazy mode, demanded through Input), writing only op-private state —
+  /// the op's SSA target variable, outputs_[k] and reasons_[k]. `pool` is
+  /// the parallel scheduler's, so retry backoff sleeps release their slot.
+  Status EvalOp(size_t k, ThreadPool* pool) {
     const PlanOp& op = plan_.ops()[k];
-    if (items_[op.target].has_value() || relations_[op.target].has_value()) {
-      return Status::Ok();
-    }
+    OpOutput& out = outputs_[k];
+    // The span covers the evaluation *and* the simulated-latency sleep, so
+    // traced parallel runs show real wall-clock overlap between ops.
     ScopedSpan span(SpanCategory::kPlanOp, PlanOpKindName(op.kind));
     if (span.active()) {
       span.AddAttr("op", static_cast<int64_t>(k));
@@ -252,102 +386,46 @@ class PlanInterpreter {
       }
       if (op.cond >= 0) span.AddAttr("cond", static_cast<int64_t>(op.cond));
     }
-    // Attribute only this op's direct charges: nested evaluations (lazy
-    // mode) book their own costs, which `attributed_` subtracts out. Time
-    // and cache interactions use the same subtraction so EXPLAIN's per-op
-    // annotations stay child-exclusive too.
-    const double unattributed_before = report_.ledger.total() - attributed_;
-    const double attr_secs_before = attributed_seconds_;
-    const size_t hits_before = stats_.cache_hits;
-    const size_t misses_before = stats_.cache_misses;
-    const size_t containment_before = stats_.cache_containment_hits;
-    const size_t attr_hits_before = attributed_hits_;
-    const size_t attr_misses_before = attributed_misses_;
-    const size_t attr_containment_before = attributed_containment_;
-    const auto op_start = std::chrono::steady_clock::now();
-    FUSION_RETURN_IF_ERROR(EvalOpBody(k, op, lazy));
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      op_start)
-            .count();
-    report_.per_op_seconds[k] =
-        elapsed - (attributed_seconds_ - attr_secs_before);
-    attributed_seconds_ = attr_secs_before + elapsed;
-    const size_t own_hits = (stats_.cache_hits - hits_before) -
-                            (attributed_hits_ - attr_hits_before);
-    const size_t own_misses = (stats_.cache_misses - misses_before) -
-                              (attributed_misses_ - attr_misses_before);
-    const size_t own_containment =
-        (stats_.cache_containment_hits - containment_before) -
-        (attributed_containment_ - attr_containment_before);
-    attributed_hits_ = attr_hits_before + (stats_.cache_hits - hits_before);
-    attributed_misses_ =
-        attr_misses_before + (stats_.cache_misses - misses_before);
-    attributed_containment_ =
-        attr_containment_before +
-        (stats_.cache_containment_hits - containment_before);
-    // Containment hits are double-counted inside misses (the exact key did
-    // miss), so a "real" miss is a miss beyond the containment count.
-    if (own_misses > own_containment) {
-      report_.per_op_cache[k] = 'm';
-    } else if (own_containment > 0) {
-      report_.per_op_cache[k] = 'c';
-    } else if (own_hits > 0) {
-      report_.per_op_cache[k] = 'h';
-    }
-    const double own_cost =
-        (report_.ledger.total() - attributed_) - unattributed_before;
-    report_.per_op_cost[k] = own_cost;
-    attributed_ += own_cost;
-    span.AddAttr("cost", own_cost);
-    if (!reasons_[k].empty()) span.AddAttr("degraded", reasons_[k]);
-    exec_internal::SleepForCost(own_cost, options_);
-    return Status::Ok();
-  }
-
-  Status EvalOpBody(size_t k, const PlanOp& op, bool lazy) {
+    Clock::time_point start = Clock::now();
+    const std::string& merge = query_.merge_attribute();
     switch (op.kind) {
       case PlanOpKind::kSelect: {
         SourceWrapper& src = catalog_.source(static_cast<size_t>(op.source));
-        const Condition& cond =
-            query_.conditions()[static_cast<size_t>(op.cond)];
-        // Cache consultation, single-flight dedup, retries, and memo
-        // publication all live in CachedSelect (shared with the parallel
-        // executor). Cache hits charge nothing; witness knowledge stays
-        // valid either way.
+        // Cache consultation, single-flight dedup, retries and memo
+        // publication all live in CachedSelect. Cache hits charge nothing.
         Result<ItemSet> result = exec_internal::CachedSelect(
-            src, cond, query_.merge_attribute(), options_, report_.ledger,
-            ContextFor("sq", src, op.source));
-        if (!result.ok()) return HandleSourceFailure(k, op, result.status());
-        Observe(op.source, *result);
+            src, query_.conditions()[static_cast<size_t>(op.cond)], merge,
+            options_, out.ledger, ContextFor(op.source, out, pool));
+        if (!result.ok()) {
+          FUSION_RETURN_IF_ERROR(Absorb(k, op, result.status()));
+          break;
+        }
         items_[op.target] = std::move(result).value();
         break;
       }
       case PlanOpKind::kSemiJoin: {
-        if (lazy) FUSION_RETURN_IF_ERROR(EvalVar(op.input, lazy));
+        FUSION_RETURN_IF_ERROR(Input(op.input, start));
         const ItemSet& candidates = *items_[op.input];
-        if (lazy && candidates.empty()) {
+        if (lazy_ && candidates.empty()) {
           items_[op.target] = ItemSet();  // ∅ semijoin needs no source call
-          ++short_circuited_;
+          out.short_circuited = true;
           break;
         }
         SourceWrapper& src = catalog_.source(static_cast<size_t>(op.source));
-        const Condition& cond =
-            query_.conditions()[static_cast<size_t>(op.cond)];
         // Cache lookup (exact or containment-derived), capability dispatch
-        // (native / emulated / unsupported), and memo publication all live
-        // in CachedSemiJoin (shared with the parallel executor).
+        // (native / emulated / unsupported) and memo publication.
         bool emulated = false;
         Result<ItemSet> result = exec_internal::CachedSemiJoin(
-            src, cond, query_.merge_attribute(), candidates, options_,
-            report_.ledger, ContextFor("sjq", src, op.source), &emulated);
+            src, query_.conditions()[static_cast<size_t>(op.cond)], merge,
+            candidates, options_, out.ledger, ContextFor(op.source, out, pool),
+            &emulated);
         if (!result.ok()) {
-          return HandleSourceFailure(k, op, result.status());
+          FUSION_RETURN_IF_ERROR(Absorb(k, op, result.status()));
+          break;
         }
-        Observe(op.source, *result);
         items_[op.target] = std::move(result).value();
         if (emulated) {
-          ++report_.emulated_semijoins;
+          out.emulated = true;
           static Counter& counter =
               MetricsRegistry::Global().counter(metrics::kEmulatedSemijoins);
           counter.Increment();
@@ -357,32 +435,30 @@ class PlanInterpreter {
       case PlanOpKind::kLoad: {
         SourceWrapper& src = catalog_.source(static_cast<size_t>(op.source));
         Result<Relation> loaded = exec_internal::CachedLoad(
-            src, options_, report_.ledger, ContextFor("lq", src, op.source));
-        if (!loaded.ok()) return HandleSourceFailure(k, op, loaded.status());
-        FUSION_ASSIGN_OR_RETURN(
-            ItemSet all_items,
-            loaded->SelectItems(Condition::True(), query_.merge_attribute()));
-        Observe(op.source, all_items);
+            src, options_, out.ledger, ContextFor(op.source, out, pool));
+        if (!loaded.ok()) {
+          FUSION_RETURN_IF_ERROR(Absorb(k, op, loaded.status()));
+          break;
+        }
         relations_[op.target] = std::move(loaded).value();
         break;
       }
       case PlanOpKind::kLocalSelect: {
-        if (lazy) FUSION_RETURN_IF_ERROR(EvalVar(op.input, lazy));
+        FUSION_RETURN_IF_ERROR(Input(op.input, start));
         if (!relations_[op.input].has_value()) {
           return Status::Internal("local select over unloaded relation var");
         }
         FUSION_ASSIGN_OR_RETURN(
             ItemSet result,
             relations_[op.input]->SelectItems(
-                query_.conditions()[static_cast<size_t>(op.cond)],
-                query_.merge_attribute()));
+                query_.conditions()[static_cast<size_t>(op.cond)], merge));
         items_[op.target] = std::move(result);
         break;
       }
       case PlanOpKind::kUnion: {
         ItemSet acc;
         for (int v : op.inputs) {
-          if (lazy) FUSION_RETURN_IF_ERROR(EvalVar(v, lazy));
+          FUSION_RETURN_IF_ERROR(Input(v, start));
           acc.UnionInPlace(*items_[v]);
         }
         items_[op.target] = std::move(acc);
@@ -391,10 +467,10 @@ class PlanInterpreter {
       case PlanOpKind::kIntersect: {
         std::optional<ItemSet> acc;
         for (int v : op.inputs) {
-          if (lazy && acc.has_value() && acc->empty()) {
+          if (lazy_ && acc.has_value() && acc->empty()) {
             break;  // sound cut: ∅ ∩ anything = ∅; skip remaining subtrees
           }
-          if (lazy) FUSION_RETURN_IF_ERROR(EvalVar(v, lazy));
+          FUSION_RETURN_IF_ERROR(Input(v, start));
           acc = acc.has_value() ? ItemSet::Intersect(*acc, *items_[v])
                                 : *items_[v];
         }
@@ -402,23 +478,24 @@ class PlanInterpreter {
         break;
       }
       case PlanOpKind::kDifference: {
-        if (lazy) FUSION_RETURN_IF_ERROR(EvalVar(op.inputs[0], lazy));
+        FUSION_RETURN_IF_ERROR(Input(op.inputs[0], start));
         const ItemSet& lhs = *items_[op.inputs[0]];
-        if (lazy && lhs.empty()) {
+        if (lazy_ && lhs.empty()) {
           items_[op.target] = ItemSet();  // ∅ − X = ∅; skip rhs subtree
           break;
         }
-        if (lazy) FUSION_RETURN_IF_ERROR(EvalVar(op.inputs[1], lazy));
+        FUSION_RETURN_IF_ERROR(Input(op.inputs[1], start));
         items_[op.target] = ItemSet::Difference(lhs, *items_[op.inputs[1]]);
         break;
       }
     }
+    out.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+    span.AddAttr("cost", out.ledger.total());
+    if (!reasons_[k].empty()) span.AddAttr("degraded", reasons_[k]);
+    // The op "takes" as long as it cost (scaled); dependents and the next
+    // query to this source wait for completion, so makespans compose.
+    exec_internal::SleepForCost(out.ledger.total(), options_);
     return Status::Ok();
-  }
-
-  void Observe(int source, const ItemSet& received) {
-    report_.per_source_items[static_cast<size_t>(source)].UnionInPlace(
-        received);
   }
 
   const Plan& plan_;
@@ -426,21 +503,15 @@ class PlanInterpreter {
   const FusionQuery& query_;
   const ExecOptions& options_;
   exec_internal::FaultState* fault_;
-  ExecutionReport& report_;
+  const bool lazy_;
+  // Per SSA variable; each is written by its one defining op.
   std::vector<std::optional<ItemSet>> items_;
   std::vector<std::optional<Relation>> relations_;
-  std::vector<int> defining_op_;
-  size_t short_circuited_ = 0;
-  double attributed_ = 0.0;  // ledger cost already assigned to some op
-  // Per-op attribution state for EXPLAIN: elapsed time and cache
-  // interactions already assigned to some (nested) op.
-  double attributed_seconds_ = 0.0;
-  size_t attributed_hits_ = 0;
-  size_t attributed_misses_ = 0;
-  size_t attributed_containment_ = 0;
-  CallStats stats_;  // per-execution retry/cache/breaker counters
-  std::vector<char> degradable_;     // empty unless on_source_failure=kDegrade
+  std::vector<size_t> defining_op_;  // var -> index of the op defining it
+  std::vector<OpOutput> outputs_;
   std::vector<std::string> reasons_;  // non-empty iff op was ∅-substituted
+  std::vector<char> degradable_;      // empty unless on_source_failure=kDegrade
+  std::vector<size_t> order_;         // ops that ran, in merge order
 };
 
 }  // namespace
@@ -459,16 +530,17 @@ Result<ExecutionReport> ExecutePlan(const Plan& plan,
   // One fault state per execution: the deadline clock starts here, and the
   // cost budget covers every ledger (all ops, failed attempts included).
   exec_internal::FaultState fault(options);
-  if (options.parallelism > 1 && !options.lazy_short_circuit) {
-    FUSION_RETURN_IF_ERROR(
-        ExecutePlanParallel(plan, catalog, query, options, &fault, report));
+  PlanRun run(plan, catalog, query, options, &fault);
+  // Lazy evaluation stays serial at any parallelism: demand-driven
+  // evaluation pays off by skipping work, not by overlapping it.
+  if (options.lazy_short_circuit) {
+    FUSION_RETURN_IF_ERROR(run.RunLazy());
+  } else if (options.parallelism > 1) {
+    FUSION_RETURN_IF_ERROR(run.RunParallel());
   } else {
-    // parallelism == 1, or lazy mode: demand-driven evaluation is
-    // inherently serial (its payoff is skipping work, not overlapping it).
-    PlanInterpreter interpreter(plan, catalog, query, options, &fault, report);
-    FUSION_RETURN_IF_ERROR(options.lazy_short_circuit ? interpreter.RunLazy()
-                                                      : interpreter.RunEager());
+    FUSION_RETURN_IF_ERROR(run.RunEager());
   }
+  FUSION_RETURN_IF_ERROR(run.Merge(report));
   report.wall_clock_makespan =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -219,15 +219,15 @@ struct ExecOptions {
   /// internally synchronized and single-flight deduplicated, so it may be
   /// shared by concurrent workers and concurrent executions.
   SourceCallCache* cache = nullptr;
-  /// Worker count for the parallel plan executor. 1 (the default) runs the
-  /// classic sequential interpreter and preserves its semantics exactly;
-  /// > 1 walks the plan's op dependency DAG with a thread pool, overlapping
-  /// data-independent source calls (queries to the *same* source still
-  /// serialize in plan order, matching plan/response_time.h's model). The
-  /// answer, per-op costs, and merged ledger are identical to sequential
-  /// execution. Combined with lazy_short_circuit the lazy sequential
-  /// interpreter runs instead (demand-driven evaluation is inherently
-  /// serial; its payoff is skipping work, not overlapping it).
+  /// Worker count for plan execution. 1 (the default) runs every op in
+  /// plan order on the calling thread; > 1 walks the plan's op dependency
+  /// DAG with a thread pool, overlapping data-independent source calls
+  /// (queries to the *same* source still serialize in plan order, matching
+  /// plan/response_time.h's model). The answer, per-op costs, and merged
+  /// ledger are identical to sequential execution. Combined with
+  /// lazy_short_circuit the lazy schedule runs instead (demand-driven
+  /// evaluation is inherently serial; its payoff is skipping work, not
+  /// overlapping it).
   int parallelism = 1;
   /// When > 0, every plan op additionally sleeps for
   /// (its metered cost) * this many seconds, turning the abstract cost units

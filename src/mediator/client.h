@@ -74,7 +74,7 @@ std::vector<std::string> RenderExplainLines(const QueryAnswer& answer,
 ///  - **embedded**: the client owns a QuerySession over a local catalog;
 ///    every call runs the full mediator stack in-process;
 ///  - **connected**: the client speaks FUSIONQ/1 to a fusionqd service
-///    (Builder::Connect), sharing that daemon's session — and therefore its
+///    (Target::Remote), sharing that daemon's session — and therefore its
 ///    result cache, breakers, and learned statistics — with every other
 ///    connected client.
 ///
@@ -142,19 +142,6 @@ class Client {
       target_ = std::move(target);
       ++targets_set_;
       return *this;
-    }
-
-    /// Deprecated shim for To(Target::Embedded(...)).
-    Builder& Catalog(SourceCatalog catalog) {
-      return To(Target::Embedded(std::move(catalog)));
-    }
-    /// Deprecated shim for To(Target::EmbeddedFile(...)).
-    Builder& CatalogFile(const std::string& path) {
-      return To(Target::EmbeddedFile(path));
-    }
-    /// Deprecated shim for To(Target::Remote(...)).
-    Builder& Connect(const std::string& endpoint) {
-      return To(Target::Remote(endpoint));
     }
 
     /// Connected mode's fair-scheduling identity (defaults to "anon"; every

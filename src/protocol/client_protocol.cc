@@ -79,20 +79,6 @@ Result<size_t> ParseCount(const std::string& key, const std::string& text) {
   return static_cast<size_t>(std::strtoull(text.c_str(), nullptr, 10));
 }
 
-/// Splits `text` into lines, rejecting any line over the protocol's cap.
-Result<std::vector<std::string>> SplitBoundedLines(const std::string& text,
-                                                   const char* what) {
-  std::vector<std::string> lines = StrSplit(text, '\n');
-  for (const std::string& line : lines) {
-    if (line.size() > kMaxClientProtocolLineBytes) {
-      return Status::ParseError(
-          StrFormat("oversized %s line (%zu bytes; limit %zu)", what,
-                    line.size(), kMaxClientProtocolLineBytes));
-    }
-  }
-  return lines;
-}
-
 }  // namespace
 
 std::vector<std::string> ClientProtocolFeatures() {
@@ -143,7 +129,8 @@ std::string SerializeClientRequest(const ClientRequest& request) {
 
 Result<ClientRequest> ParseClientRequest(const std::string& text) {
   FUSION_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
-                          SplitBoundedLines(text, "client request"));
+                          SplitWireLines(text, kMaxClientProtocolLineBytes,
+                                         "client request"));
   if (lines.empty()) return Status::ParseError("empty client request");
   const auto [magic, kind_name] = SplitWireKeyValue(lines[0]);
   if (magic != kMagic) {
@@ -239,7 +226,8 @@ std::string SerializeClientResponse(const ClientResponse& response) {
 
 Result<ClientResponse> ParseClientResponse(const std::string& text) {
   FUSION_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
-                          SplitBoundedLines(text, "client response"));
+                          SplitWireLines(text, kMaxClientProtocolLineBytes,
+                                         "client response"));
   if (lines.empty()) return Status::ParseError("empty client response");
   const auto [magic, status_name] = SplitWireKeyValue(lines[0]);
   if (magic != kMagic) {

@@ -34,31 +34,6 @@ Result<SourceRequest::Kind> ParseRequestKind(const std::string& name) {
   return Status::ParseError("unknown request kind: " + name);
 }
 
-std::string EscapeText(const std::string& s) { return EscapeWireText(s); }
-
-Result<std::string> UnescapeText(const std::string& s) {
-  return UnescapeWireText(s);
-}
-
-std::pair<std::string, std::string> SplitKeyValue(const std::string& line) {
-  return SplitWireKeyValue(line);
-}
-
-/// Splits `text` into lines, rejecting any line over the dialect's cap
-/// (the FUSIONQ/1 parsers do the same via kMaxClientProtocolLineBytes).
-Result<std::vector<std::string>> SplitBoundedSourceLines(
-    const std::string& text, const char* what) {
-  std::vector<std::string> lines = StrSplit(text, '\n');
-  for (const std::string& line : lines) {
-    if (line.size() > kMaxSourceProtocolLineBytes) {
-      return Status::ParseError(
-          StrFormat("oversized %s line (%zu bytes; limit %zu)", what,
-                    line.size(), kMaxSourceProtocolLineBytes));
-    }
-  }
-  return lines;
-}
-
 }  // namespace
 
 std::string EscapeWireText(const std::string& s) {
@@ -101,6 +76,20 @@ std::pair<std::string, std::string> SplitWireKeyValue(const std::string& line) {
   return {line.substr(0, space), line.substr(space + 1)};
 }
 
+Result<std::vector<std::string>> SplitWireLines(const std::string& text,
+                                                size_t max_line_bytes,
+                                                const char* what) {
+  std::vector<std::string> lines = StrSplit(text, '\n');
+  for (const std::string& line : lines) {
+    if (line.size() > max_line_bytes) {
+      return Status::ParseError(
+          StrFormat("oversized %s line (%zu bytes; limit %zu)", what,
+                    line.size(), max_line_bytes));
+    }
+  }
+  return lines;
+}
+
 Result<StatusCode> ParseWireStatusCode(const std::string& text) {
   if (!text.empty() && text.find_first_not_of("0123456789") ==
                            std::string::npos) {
@@ -123,7 +112,7 @@ std::string SerializeValue(const Value& value) {
     case ValueType::kDouble:
       return "d:" + StrFormat("%.17g", value.dbl());
     case ValueType::kString:
-      return "s:" + EscapeText(value.str());
+      return "s:" + EscapeWireText(value.str());
   }
   return "null";
 }
@@ -152,7 +141,7 @@ Result<Value> ParseSerializedValue(const std::string& text) {
       return Value(v);
     }
     case 's': {
-      FUSION_ASSIGN_OR_RETURN(std::string unescaped, UnescapeText(payload));
+      FUSION_ASSIGN_OR_RETURN(std::string unescaped, UnescapeWireText(payload));
       return Value(std::move(unescaped));
     }
     default:
@@ -167,7 +156,7 @@ std::string SerializeRequest(const SourceRequest& request) {
     out += "merge " + request.merge_attribute + "\n";
   }
   if (!request.condition_text.empty()) {
-    out += "cond " + EscapeText(request.condition_text) + "\n";
+    out += "cond " + EscapeWireText(request.condition_text) + "\n";
   }
   for (const Value& v : request.bindings) {
     out += "bind " + SerializeValue(v) + "\n";
@@ -183,9 +172,10 @@ std::string SerializeRequest(const SourceRequest& request) {
 
 Result<SourceRequest> ParseRequest(const std::string& text) {
   FUSION_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
-                          SplitBoundedSourceLines(text, "source request"));
+                          SplitWireLines(text, kMaxSourceProtocolLineBytes,
+                                         "source request"));
   if (lines.empty()) return Status::ParseError("empty request");
-  const auto [magic, kind_name] = SplitKeyValue(lines[0]);
+  const auto [magic, kind_name] = SplitWireKeyValue(lines[0]);
   if (magic != kMagic) {
     return Status::ParseError("bad protocol magic: " + magic);
   }
@@ -198,16 +188,16 @@ Result<SourceRequest> ParseRequest(const std::string& text) {
       terminated = true;
       break;
     }
-    const auto [key, value] = SplitKeyValue(lines[i]);
+    const auto [key, value] = SplitWireKeyValue(lines[i]);
     if (key == "merge") {
       request.merge_attribute = value;
     } else if (key == "cond") {
-      FUSION_ASSIGN_OR_RETURN(request.condition_text, UnescapeText(value));
+      FUSION_ASSIGN_OR_RETURN(request.condition_text, UnescapeWireText(value));
     } else if (key == "bind") {
       FUSION_ASSIGN_OR_RETURN(Value v, ParseSerializedValue(value));
       request.bindings.push_back(std::move(v));
     } else if (key == "trace") {
-      const auto [trace_text, span_text] = SplitKeyValue(value);
+      const auto [trace_text, span_text] = SplitWireKeyValue(value);
       if (trace_text.empty() ||
           trace_text.find_first_not_of("0123456789") != std::string::npos) {
         return Status::ParseError("bad trace line: " + value);
@@ -234,13 +224,13 @@ std::string SerializeResponse(const SourceResponse& response) {
     // Codes travel by name (the shared StatusCode taxonomy), so a reader of
     // the wire sees "error Unavailable ..." rather than a magic number.
     out += StrFormat("error %s %s\n", StatusCodeName(response.error_code),
-                     EscapeText(response.error_message).c_str());
+                     EscapeWireText(response.error_message).c_str());
   }
   for (const Value& v : response.items) {
     out += "item " + SerializeValue(v) + "\n";
   }
   for (const std::string& line : response.relation_lines) {
-    out += "relation-line " + EscapeText(line) + "\n";
+    out += "relation-line " + EscapeWireText(line) + "\n";
   }
   if (!response.name.empty()) out += "name " + response.name + "\n";
   if (!response.semijoin_support.empty()) {
@@ -265,9 +255,10 @@ std::string SerializeResponse(const SourceResponse& response) {
 
 Result<SourceResponse> ParseResponse(const std::string& text) {
   FUSION_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
-                          SplitBoundedSourceLines(text, "source response"));
+                          SplitWireLines(text, kMaxSourceProtocolLineBytes,
+                                         "source response"));
   if (lines.empty()) return Status::ParseError("empty response");
-  const auto [magic, status_name] = SplitKeyValue(lines[0]);
+  const auto [magic, status_name] = SplitWireKeyValue(lines[0]);
   if (magic != kMagic) {
     return Status::ParseError("bad protocol magic: " + magic);
   }
@@ -286,17 +277,18 @@ Result<SourceResponse> ParseResponse(const std::string& text) {
       terminated = true;
       break;
     }
-    const auto [key, value] = SplitKeyValue(lines[i]);
+    const auto [key, value] = SplitWireKeyValue(lines[i]);
     if (key == "error") {
-      const auto [code_text, message] = SplitKeyValue(value);
+      const auto [code_text, message] = SplitWireKeyValue(value);
       FUSION_ASSIGN_OR_RETURN(response.error_code,
                               ParseWireStatusCode(code_text));
-      FUSION_ASSIGN_OR_RETURN(response.error_message, UnescapeText(message));
+      FUSION_ASSIGN_OR_RETURN(response.error_message,
+                              UnescapeWireText(message));
     } else if (key == "item") {
       FUSION_ASSIGN_OR_RETURN(Value v, ParseSerializedValue(value));
       response.items.push_back(std::move(v));
     } else if (key == "relation-line") {
-      FUSION_ASSIGN_OR_RETURN(std::string line, UnescapeText(value));
+      FUSION_ASSIGN_OR_RETURN(std::string line, UnescapeWireText(value));
       response.relation_lines.push_back(std::move(line));
     } else if (key == "name") {
       response.name = value;

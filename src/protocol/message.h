@@ -91,6 +91,12 @@ std::string EscapeWireText(const std::string& text);
 Result<std::string> UnescapeWireText(const std::string& text);
 /// Splits "key rest-of-line" on the first space ({line, ""} when none).
 std::pair<std::string, std::string> SplitWireKeyValue(const std::string& line);
+/// Splits a message into lines, rejecting any line longer than
+/// `max_line_bytes` with a kParseError naming `what` — each dialect passes
+/// its own cap (kMaxSourceProtocolLineBytes, kMaxClientProtocolLineBytes).
+Result<std::vector<std::string>> SplitWireLines(const std::string& text,
+                                                size_t max_line_bytes,
+                                                const char* what);
 /// Decodes an error-line status code: a StatusCodeName, or (for
 /// compatibility with pre-taxonomy peers) a bare enum integer.
 Result<StatusCode> ParseWireStatusCode(const std::string& text);

@@ -105,6 +105,63 @@ TEST(ExecutorTest, LoadAndLocalSelectPlan) {
 }
 
 // ---------------------------------------------------------------------------
+// Lazy short-circuits, pinned
+// ---------------------------------------------------------------------------
+
+// One plan that trips all three lazy cuts on Figure 1: sjq(sp, R1, ∅) needs
+// no source call, DUI1 ∩ SP1 = ∅ skips the SP2 operand, and the ∅ left side
+// of I − SP3 skips SP3. The load is emitted first, so the lazy ledger (which
+// charges in demand order) differs from the eager, plan-ordered one.
+TEST(LazyExecTest, PinsShortCircuitsLedgerOrderAndPerOpCost) {
+  const auto instance = BuildDmvFigure1();
+  ASSERT_TRUE(instance.ok());
+  Plan plan;
+  const int l = plan.EmitLoad(1, "L2");
+  const int ls = plan.EmitLocalSelect(0, l, "DUI2");
+  const int b = plan.EmitSelect(0, 0, "DUI1");
+  const int c = plan.EmitSelect(1, 0, "SP1");
+  const int d = plan.EmitSelect(1, 1, "SP2");
+  const int a = plan.EmitSelect(0, 2, "DUI3");
+  const int s = plan.EmitSemiJoin(1, 0, a, "S");
+  const int f = plan.EmitSelect(1, 2, "SP3");
+  const int i = plan.EmitIntersect({b, c, d}, "I");
+  const int e = plan.EmitDifference(i, f, "E");
+  const int g = plan.EmitIntersect({ls, c}, "G");
+  plan.SetResult(plan.EmitUnion({s, e, g}, "R"));
+
+  ExecOptions options;
+  options.lazy_short_circuit = true;
+  const auto lazy =
+      ExecutePlan(plan, instance->catalog, instance->query, options);
+  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+  const auto eager = ExecutePlan(plan, instance->catalog, instance->query);
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  EXPECT_EQ(lazy->answer.ToString(), "{'T21'}");
+  EXPECT_EQ(lazy->answer, eager->answer);
+  // SP2 and SP3 never run; S runs without its source call.
+  EXPECT_EQ(lazy->skipped_ops, 3u);
+  EXPECT_EQ(lazy->ledger.Report(),
+            "R3         sq       sent=0      recv=0      scan=3       "
+            "cost=10.030     V = 'dui'\n"
+            "R1         sq       sent=0      recv=2      scan=3       "
+            "cost=12.030     V = 'dui'\n"
+            "R1         sq       sent=0      recv=1      scan=3       "
+            "cost=11.030     V = 'sp'\n"
+            "R2         lq       sent=0      recv=3      scan=3       "
+            "cost=19.030     lq(R2)\n"
+            "TOTAL: 4 queries, cost 52.120\n");
+  const std::vector<double> expected_cost = {19.03, 0, 12.03, 11.03, 0, 10.03,
+                                             0,     0, 0,     0,     0, 0};
+  ASSERT_EQ(lazy->per_op_cost.size(), expected_cost.size());
+  double sum = 0;
+  for (size_t k = 0; k < expected_cost.size(); ++k) {
+    EXPECT_DOUBLE_EQ(lazy->per_op_cost[k], expected_cost[k]) << "op " << k;
+    sum += lazy->per_op_cost[k];
+  }
+  EXPECT_DOUBLE_EQ(sum, lazy->ledger.total());
+}
+
+// ---------------------------------------------------------------------------
 // Emulated semijoins
 // ---------------------------------------------------------------------------
 

@@ -86,8 +86,8 @@ Plan LoadPlan() {
 }
 
 /// Asserts that a parallel report is indistinguishable from the sequential
-/// one: answer, emulation count, witness knowledge, per-op costs, and the
-/// ledger charge-for-charge (Report() prints every charge in order, so
+/// one: answer, emulation count, witness knowledge, per-op costs, cache
+/// provenance and counters, skip count, and the ledger charge-for-charge (Report() prints every charge in order, so
 /// string equality is the strongest practical check — even floating-point
 /// totals must agree because both sides accumulate in plan-op order).
 void ExpectSameExecution(const ExecutionReport& seq,
@@ -107,19 +107,29 @@ void ExpectSameExecution(const ExecutionReport& seq,
     EXPECT_EQ(seq.per_source_items[j], par.per_source_items[j])
         << "source " << j;
   }
+  EXPECT_EQ(std::string(seq.per_op_cache.begin(), seq.per_op_cache.end()),
+            std::string(par.per_op_cache.begin(), par.per_op_cache.end()));
+  EXPECT_EQ(seq.cache_hits, par.cache_hits);
+  EXPECT_EQ(seq.cache_misses, par.cache_misses);
+  EXPECT_EQ(seq.cache_containment_hits, par.cache_containment_hits);
+  EXPECT_EQ(seq.skipped_ops, par.skipped_ops);
 }
 
-TEST(ParallelExecTest, MatchesSequentialAcrossPlanMatrix) {
+/// Runs every plan of the Figure 1 matrix sequentially and at several worker
+/// counts, all against `cache` (null = uncached), and compares the reports.
+void ExpectMatrixMatchesSequential(SourceCallCache* cache) {
   const auto instance = BuildDmvFigure1();
   ASSERT_TRUE(instance.ok());
   const Plan plans[] = {FilterPlan(), SemijoinPlan(), DifferencePrunedPlan(),
                         LoadPlan()};
+  ExecOptions seq_options;
+  seq_options.cache = cache;
   for (size_t p = 0; p < std::size(plans); ++p) {
-    const auto seq =
-        ExecutePlan(plans[p], instance->catalog, instance->query);
+    const auto seq = ExecutePlan(plans[p], instance->catalog, instance->query,
+                                 seq_options);
     ASSERT_TRUE(seq.ok()) << seq.status().ToString();
     for (const int parallelism : {1, 2, 8}) {
-      ExecOptions options;
+      ExecOptions options = seq_options;
       options.parallelism = parallelism;
       const auto par =
           ExecutePlan(plans[p], instance->catalog, instance->query, options);
@@ -132,6 +142,33 @@ TEST(ParallelExecTest, MatchesSequentialAcrossPlanMatrix) {
       EXPECT_EQ(par->answer.ToString(), "{'J55', 'T21'}");
     }
   }
+}
+
+TEST(ParallelExecTest, MatchesSequentialAcrossPlanMatrix) {
+  ExpectMatrixMatchesSequential(nullptr);
+}
+
+TEST(ParallelExecTest, MatchesSequentialAcrossPlanMatrixOnWarmCache) {
+  // One pass over the matrix warms a shared cache: afterwards every
+  // selection and load is an exact hit ('h') and every semijoin is derived
+  // from a cached selection ('c'). Derived semijoins are not published, so
+  // the warm state is stable and both schedulers see the same one.
+  const auto instance = BuildDmvFigure1();
+  ASSERT_TRUE(instance.ok());
+  SourceCallCache cache;
+  ExecOptions options;
+  options.cache = &cache;
+  for (const Plan& plan : {FilterPlan(), SemijoinPlan(),
+                           DifferencePrunedPlan(), LoadPlan()}) {
+    ASSERT_TRUE(
+        ExecutePlan(plan, instance->catalog, instance->query, options).ok());
+  }
+  ExpectMatrixMatchesSequential(&cache);
+  const auto warm = ExecutePlan(SemijoinPlan(), instance->catalog,
+                                instance->query, options);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(std::string(warm->per_op_cache.begin(), warm->per_op_cache.end()),
+            "hhh-ccc-");
 }
 
 TEST(ParallelExecTest, MatchesSequentialWithEmulatedSemijoins) {
