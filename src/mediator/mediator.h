@@ -19,7 +19,7 @@ enum class OptimizerStrategy {
   kSj,           // best semijoin plan (exhaustive orderings)
   kSja,          // best semijoin-adaptive plan (exhaustive orderings)
   kSjaPlus,      // SJA + Section-4 postoptimization (difference, loading)
-  kGreedySja,    // greedy ordering + adaptive decisions (no m! search)
+  kGreedySja,    // greedy ordering + adaptive decisions (no 2^m search)
   kGreedySjaPlus // greedy SJA + postoptimization
 };
 

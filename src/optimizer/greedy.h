@@ -5,10 +5,10 @@
 
 namespace fusion {
 
-/// How the greedy optimizers pick the condition ordering without enumerating
-/// all m! permutations (the extended version [24] of the paper describes
-/// O(mn) greedy variants of SJ/SJA; the TR is unavailable, so these are our
-/// documented reconstructions — see DESIGN.md §3).
+/// How the greedy optimizers pick the condition ordering without SJ/SJA's
+/// exhaustive O(2^m·m·n) subset search (the extended version [24] of the
+/// paper describes O(mn) greedy variants of SJ/SJA; the TR is unavailable,
+/// so these are our documented reconstructions — see DESIGN.md §3).
 enum class GreedyOrderHeuristic {
   /// Static: process conditions by increasing estimated global result size
   /// |∪_j sq(c_i, R_j)| (most selective first), computed once. O(mn + m log m)

@@ -1,9 +1,15 @@
 #include "optimizer/optimizer.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/str_util.h"
 #include "obs/metrics.h"
+#include "optimizer/sj.h"
+#include "optimizer/sja.h"
 
 namespace fusion {
 
@@ -216,6 +222,173 @@ Result<StructuredBuildResult> BuildStructuredPlan(
   out.result = std::move(x);
   out.plan = std::move(plan);
   return out;
+}
+
+namespace {
+
+/// How SJ and SJA decide one round given X_{i-1}; the only difference
+/// between the two algorithms.
+enum class RoundRule {
+  kUniformRow,  // SJ: the whole row takes the cheaper of Σ_j sq and Σ_j sjq
+  kPerSource,   // SJA: each source takes the cheaper of sq and sjq
+};
+
+/// Estimated costs this close (relative) count as equal, so which of two
+/// equally cheap orderings wins does not depend on summation-order noise.
+constexpr double kCostTieRelative = 1e-12;
+
+bool CostsTie(double a, double b) {
+  if (a == b) return true;
+  if (!std::isfinite(a) || !std::isfinite(b)) return false;
+  return std::abs(a - b) <=
+         kCostTieRelative * std::max(std::abs(a), std::abs(b));
+}
+
+/// The cost of evaluating `cond` after the round result `x` (nullptr for the
+/// first round, which always runs selection queries). When `row` is given,
+/// records which sources take the semijoin; ties go to the semijoin.
+double PriceRound(const CostModel& model, RoundRule rule, size_t cond,
+                  const SetEstimate* x, std::vector<bool>* row) {
+  const size_t n = model.num_sources();
+  double sq_total = 0.0;
+  if (x == nullptr) {
+    for (size_t j = 0; j < n; ++j) sq_total += model.SqCost(cond, j);
+    return sq_total;
+  }
+  if (rule == RoundRule::kPerSource) {
+    double total = 0.0;
+    for (size_t j = 0; j < n; ++j) {
+      const double sq_cost = model.SqCost(cond, j);
+      const double sjq_cost = model.SjqCost(cond, j, *x);
+      const bool semijoin = !(sq_cost < sjq_cost);
+      if (row != nullptr) (*row)[j] = semijoin;
+      total += semijoin ? sjq_cost : sq_cost;
+    }
+    return total;
+  }
+  double sjq_total = 0.0;
+  for (size_t j = 0; j < n; ++j) {
+    sq_total += model.SqCost(cond, j);
+    sjq_total += model.SjqCost(cond, j, *x);
+  }
+  const bool semijoin = !(sq_total < sjq_total);
+  if (row != nullptr) row->assign(n, semijoin);
+  return semijoin ? sjq_total : sq_total;
+}
+
+/// The cheapest condition ordering under `rule`, as a forward shortest path
+/// over the lattice of condition subsets: by invariant 3 a round's cost
+/// depends only on the set S of conditions already applied (through X(S))
+/// and on the next condition, so O(2^m·m·n) work replaces the paper's
+/// O(m!·m·n) enumeration. Among equally cheap orderings the lexicographically
+/// first wins — the one the enumeration's first strict minimum picks.
+std::vector<size_t> CheapestOrdering(const CostModel& model, RoundRule rule,
+                                     OptimizerRunSpan& run_span) {
+  const size_t m = model.num_conditions();
+  const uint32_t full = (uint32_t{1} << m) - 1;
+  // best[S]: the cheapest cost of applying the conditions of S first;
+  // order[S*m ..]: the lexicographically first ordering of S reaching it.
+  std::vector<double> best(full + 1, std::numeric_limits<double>::infinity());
+  std::vector<char> reached(full + 1, 0);
+  std::vector<uint8_t> order(static_cast<size_t>(full + 1) * m, 0);
+  best[0] = 0.0;
+  reached[0] = 1;
+
+  std::vector<std::vector<uint32_t>> levels(m + 1);
+  for (uint32_t s = 0; s <= full; ++s) {
+    levels[std::popcount(s)].push_back(s);
+  }
+  // X(S), computed once per subset with S's conditions applied in ascending
+  // index order. Only two adjacent levels hold a set at any time, which
+  // bounds peak memory under exact (ItemSet) estimates.
+  std::vector<SetEstimate> x(full + 1);
+  uint8_t candidate[kMaxConditionsForExhaustive];
+  for (size_t k = 0; k < m; ++k) {
+    for (uint32_t s : levels[k]) {
+      const SetEstimate* xs = s == 0 ? nullptr : &x[s];
+      std::copy_n(&order[s * m], k, candidate);
+      for (size_t c = 0; c < m; ++c) {
+        const uint32_t t = s | (uint32_t{1} << c);
+        if (t == s) continue;
+        run_span.CountPlan();
+        const double cost = best[s] + PriceRound(model, rule, c, xs, nullptr);
+        candidate[k] = static_cast<uint8_t>(c);
+        uint8_t* incumbent = &order[t * m];
+        const bool take =
+            !reached[t] ||
+            (CostsTie(cost, best[t])
+                 ? std::lexicographical_compare(candidate, candidate + k + 1,
+                                                incumbent, incumbent + k + 1)
+                 : cost < best[t]);
+        if (take) {
+          best[t] = cost;
+          reached[t] = 1;
+          std::copy_n(candidate, k + 1, incumbent);
+        }
+      }
+    }
+    if (k + 1 < m) {
+      for (uint32_t t : levels[k + 1]) {
+        const size_t hi = std::bit_width(t) - 1;
+        const uint32_t rest = t & ~(uint32_t{1} << hi);
+        x[t] = CanonicalRoundResult(model, hi, rest == 0 ? nullptr : &x[rest]);
+      }
+    }
+    for (uint32_t s : levels[k]) x[s] = SetEstimate();
+  }
+  return std::vector<size_t>(order.begin() + full * m,
+                             order.begin() + (full + 1) * m);
+}
+
+/// SJ and SJA: the cheapest ordering, its decision matrix rebuilt along it,
+/// materialized by BuildStructuredPlan.
+Result<OptimizedPlan> OptimizeConditionOrder(const CostModel& model,
+                                             RoundRule rule,
+                                             const char* algorithm) {
+  const size_t m = model.num_conditions();
+  const size_t n = model.num_sources();
+  if (m == 0 || n == 0) {
+    return Status::InvalidArgument(
+        StrFormat("%s: need conditions and sources", algorithm));
+  }
+  if (m > kMaxConditionsForExhaustive) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: %zu conditions exceeds the exhaustive-search limit %zu; use "
+        "the greedy optimizer",
+        algorithm, m, kMaxConditionsForExhaustive));
+  }
+
+  OptimizerRunSpan run_span(algorithm);
+  ConditionOrderPlan structure =
+      MakeStructure(CheapestOrdering(model, rule, run_span), n);
+  SetEstimate x = CanonicalRoundResult(model, structure.ordering[0], nullptr);
+  for (size_t i = 1; i < m; ++i) {
+    const size_t cond = structure.ordering[i];
+    PriceRound(model, rule, cond, &x, &structure.use_semijoin[i]);
+    if (i + 1 < m) x = CanonicalRoundResult(model, cond, &x);
+  }
+
+  FUSION_ASSIGN_OR_RETURN(
+      StructuredBuildResult built,
+      BuildStructuredPlan(model, structure, /*loaded=*/{},
+                          /*use_difference=*/false));
+  OptimizedPlan out;
+  out.plan = std::move(built.plan);
+  out.estimated_cost = built.total_cost;
+  out.algorithm = algorithm;
+  out.plan_class = ClassifyPlan(out.plan);
+  out.structure = std::move(structure);
+  return out;
+}
+
+}  // namespace
+
+Result<OptimizedPlan> OptimizeSj(const CostModel& model) {
+  return OptimizeConditionOrder(model, RoundRule::kUniformRow, "SJ");
+}
+
+Result<OptimizedPlan> OptimizeSja(const CostModel& model) {
+  return OptimizeConditionOrder(model, RoundRule::kPerSource, "SJA");
 }
 
 }  // namespace fusion

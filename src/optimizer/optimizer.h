@@ -13,10 +13,11 @@
 namespace fusion {
 
 /// RAII observability for one optimizer algorithm run: an `optimize` span
-/// covering the search, carrying how many candidate plans (orderings,
-/// greedy candidate evaluations, postopt variants) were considered, which
-/// also feeds the optimizer_plans_considered counter. Counting happens
-/// whether or not tracing is enabled.
+/// covering the search, carrying how many candidate plans were considered
+/// (SJ/SJA's (subset, next condition) transitions, SJA-RT's orderings, greedy
+/// candidate evaluations, postopt variants), which also feeds the
+/// optimizer_plans_considered counter. Counting happens whether or not
+/// tracing is enabled.
 class OptimizerRunSpan {
  public:
   explicit OptimizerRunSpan(const char* algorithm);
@@ -57,9 +58,10 @@ struct OptimizedPlan {
   ConditionOrderPlan structure;  // empty for FILTER / baseline plans
 };
 
-/// Limits on the exhaustive-ordering algorithms. SJ/SJA enumerate all m!
-/// orderings; beyond `max_conditions_for_exhaustive` they refuse (use the
-/// greedy variants instead).
+/// Limit on the exhaustive searches. SJ/SJA search the 2^m condition subsets
+/// (m·2^(m−1) transitions) and SJA-RT enumerates all m! orderings; beyond
+/// `kMaxConditionsForExhaustive` conditions they refuse (use the greedy
+/// variants instead).
 inline constexpr size_t kMaxConditionsForExhaustive = 9;
 
 /// Materializes a ConditionOrderPlan into an executable Plan (paper-style
@@ -94,7 +96,9 @@ ConditionOrderPlan MakeStructure(std::vector<size_t> ordering, size_t num_source
 /// and the structured builder all propagate: the true X_i does not depend on
 /// whether a source was asked by sq or sjq, and keeping the estimate
 /// decision-independent is what makes SJA's per-source choices globally
-/// optimal under scalar (independence) estimation too.
+/// optimal under scalar (independence) estimation too. It is also what lets
+/// SJ/SJA search condition subsets instead of orderings: a round's cost
+/// depends only on the set of conditions already applied and the next one.
 SetEstimate CanonicalRoundResult(const CostModel& model, size_t cond,
                                  const SetEstimate* prev);
 

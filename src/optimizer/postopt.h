@@ -26,7 +26,7 @@ struct PostOptOptions {
 
 /// The SJA+ algorithm (Section 4.1): run SJA for the best semijoin-adaptive
 /// plan, then apply difference pruning to every semijoin round and finally
-/// consider loading entire sources. O(m!·m·n + mn); the produced plan is
+/// consider loading entire sources. O(2^m·m·n + mn); the produced plan is
 /// generally outside the space of simple plans.
 Result<OptimizedPlan> OptimizeSjaPlus(const CostModel& model,
                                       const PostOptOptions& options = {});

@@ -5,12 +5,16 @@
 
 namespace fusion {
 
-/// The SJ algorithm (Figure 3): enumerates every ordering of the m
-/// conditions; for each ordering, evaluates the first condition by selection
-/// queries and then, condition by condition, compares the total cost of n
-/// selection queries against the total cost of n semijoin queries on
-/// X_{i-1}, taking the cheaper *uniformly across sources*. Returns the best
-/// semijoin plan found. O(m! · m · n); refuses m > kMaxConditionsForExhaustive.
+/// The SJ algorithm (Figure 3): finds the best semijoin plan over every
+/// ordering of the m conditions. The first condition is evaluated by
+/// selection queries; then, condition by condition, the total cost of n
+/// selection queries is compared against the total cost of n semijoin
+/// queries on X_{i-1}, taking the cheaper *uniformly across sources*.
+/// Figure 3 enumerates the m! orderings; since a round's cost depends only on
+/// the set of conditions already applied, this implementation searches the
+/// 2^m condition subsets instead (shared with SJA in optimizer.cc), in
+/// O(2^m · m · n), and returns the same plan: the lexicographically first
+/// cheapest ordering. Refuses m > kMaxConditionsForExhaustive.
 Result<OptimizedPlan> OptimizeSj(const CostModel& model);
 
 }  // namespace fusion

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "common/rng.h"
 #include "cost/oracle_cost_model.h"
 #include "cost/parametric_cost_model.h"
+#include "obs/metrics.h"
 #include "optimizer/brute_force.h"
 #include "optimizer/filter.h"
 #include "optimizer/greedy.h"
@@ -229,6 +233,246 @@ TEST_P(OptimalityTest, GreedyIsNeverBetterThanExhaustiveSja) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OptimalityTest,
                          ::testing::Range<uint64_t>(0, 15));
+
+// ---------------------------------------------------------------------------
+// The subset-lattice search against the paper's m! enumeration
+// ---------------------------------------------------------------------------
+
+struct EnumeratedPlan {
+  double cost = std::numeric_limits<double>::infinity();
+  ConditionOrderPlan structure;
+};
+
+/// Figure 3 as a loop over all m! orderings, keeping the first strict
+/// minimum: the reference the subset search must reproduce.
+EnumeratedPlan EnumerateSj(const CostModel& model) {
+  const size_t m = model.num_conditions();
+  const size_t n = model.num_sources();
+  std::vector<size_t> ordering(m);
+  std::iota(ordering.begin(), ordering.end(), 0);
+
+  double best_cost = std::numeric_limits<double>::infinity();
+  ConditionOrderPlan best_structure;
+
+  do {  // loop A of Figure 3
+    ConditionOrderPlan structure = MakeStructure(ordering, n);
+    // First condition: selection queries at every source.
+    double plan_cost = 0.0;
+    for (size_t j = 0; j < n; ++j) plan_cost += model.SqCost(ordering[0], j);
+    SetEstimate x = CanonicalRoundResult(model, ordering[0], nullptr);
+    for (size_t i = 1; i < m && plan_cost < best_cost; ++i) {  // loop B
+      const size_t cond = ordering[i];
+      double selection_queries_cost = 0.0;
+      double semijoin_queries_cost = 0.0;
+      for (size_t j = 0; j < n; ++j) {
+        selection_queries_cost += model.SqCost(cond, j);
+        semijoin_queries_cost += model.SjqCost(cond, j, x);
+      }
+      if (selection_queries_cost < semijoin_queries_cost) {
+        plan_cost += selection_queries_cost;
+      } else {
+        for (size_t j = 0; j < n; ++j) structure.use_semijoin[i][j] = true;
+        plan_cost += semijoin_queries_cost;
+      }
+      x = CanonicalRoundResult(model, cond, &x);
+    }
+    if (plan_cost < best_cost) {
+      best_cost = plan_cost;
+      best_structure = std::move(structure);
+    }
+  } while (std::next_permutation(ordering.begin(), ordering.end()));
+  return {best_cost, std::move(best_structure)};
+}
+
+/// Figure 4 as a loop over all m! orderings (same first-strict-minimum rule).
+EnumeratedPlan EnumerateSja(const CostModel& model) {
+  const size_t m = model.num_conditions();
+  const size_t n = model.num_sources();
+  std::vector<size_t> ordering(m);
+  std::iota(ordering.begin(), ordering.end(), 0);
+
+  double best_cost = std::numeric_limits<double>::infinity();
+  ConditionOrderPlan best_structure;
+
+  do {  // loop A of Figure 4
+    ConditionOrderPlan structure = MakeStructure(ordering, n);
+    double plan_cost = 0.0;
+    for (size_t j = 0; j < n; ++j) plan_cost += model.SqCost(ordering[0], j);
+    SetEstimate x = CanonicalRoundResult(model, ordering[0], nullptr);
+    for (size_t i = 1; i < m && plan_cost < best_cost; ++i) {  // loop B
+      const size_t cond = ordering[i];
+      // Source loop: independent per-source choice. Because the round result
+      // X_i does not depend on these choices, picking the per-source minimum
+      // is globally optimal for this ordering.
+      for (size_t j = 0; j < n; ++j) {
+        const double sq_cost = model.SqCost(cond, j);
+        const double sjq_cost = model.SjqCost(cond, j, x);
+        if (sq_cost < sjq_cost) {
+          plan_cost += sq_cost;
+        } else {
+          structure.use_semijoin[i][j] = true;
+          plan_cost += sjq_cost;
+        }
+      }
+      x = CanonicalRoundResult(model, cond, &x);
+    }
+    if (plan_cost < best_cost) {
+      best_cost = plan_cost;
+      best_structure = std::move(structure);
+    }
+  } while (std::next_permutation(ordering.begin(), ordering.end()));
+  return {best_cost, std::move(best_structure)};
+}
+
+/// Exact ItemSet estimates over a 40-item universe with integral network
+/// parameters, so every cost is an exact integer: equally cheap orderings
+/// tie exactly, and the search must return the enumeration's plan itself.
+class ExactIntegralModel final : public CostModel {
+ public:
+  ExactIntegralModel(uint64_t seed, size_t m, size_t n) {
+    Rng rng(seed);
+    for (size_t j = 0; j < n; ++j) {
+      Source s;
+      const double r = rng.NextDouble();
+      s.semijoin = r < 0.6   ? SemijoinSupport::kNative
+                   : r < 0.9 ? SemijoinSupport::kPassedBindingsOnly
+                             : SemijoinSupport::kUnsupported;
+      s.overhead = static_cast<double>(rng.Uniform(1, 30));
+      s.per_item_sent = static_cast<double>(rng.Uniform(0, 3));
+      s.per_item_received = static_cast<double>(rng.Uniform(1, 3));
+      sources_.push_back(s);
+    }
+    satisfying_.resize(m);
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        const double selectivity = 0.1 + 0.5 * rng.NextDouble();
+        std::vector<Value> items;
+        for (int64_t v = 0; v < kUniverse; ++v) {
+          if (rng.Bernoulli(selectivity)) items.emplace_back(v);
+        }
+        satisfying_[i].emplace_back(std::move(items));
+      }
+    }
+  }
+
+  size_t num_conditions() const override { return satisfying_.size(); }
+  size_t num_sources() const override { return sources_.size(); }
+  double universe_size() const override { return kUniverse; }
+
+  double SqCost(size_t cond, size_t source) const override {
+    const Source& s = sources_[source];
+    return s.overhead + s.per_item_received *
+                            static_cast<double>(satisfying_[cond][source].size());
+  }
+  double SjqCost(size_t cond, size_t source,
+                 const SetEstimate& x) const override {
+    const Source& s = sources_[source];
+    const double received =
+        s.per_item_received * SjqResult(cond, source, x).size;
+    switch (s.semijoin) {
+      case SemijoinSupport::kNative:
+        return s.overhead + s.per_item_sent * x.size + received;
+      case SemijoinSupport::kPassedBindingsOnly:
+        return x.size * s.overhead + received;
+      case SemijoinSupport::kUnsupported:
+        break;
+    }
+    return std::numeric_limits<double>::infinity();
+  }
+  double LqCost(size_t) const override {
+    return std::numeric_limits<double>::infinity();
+  }
+  SetEstimate SqResult(size_t cond, size_t source) const override {
+    return SetEstimate::Exact(satisfying_[cond][source]);
+  }
+  SetEstimate SjqResult(size_t cond, size_t source,
+                        const SetEstimate& x) const override {
+    return SetEstimate::Exact(
+        ItemSet::Intersect(satisfying_[cond][source], *x.exact));
+  }
+  double FetchCost(size_t, double) const override { return 0.0; }
+
+ private:
+  static constexpr int64_t kUniverse = 40;
+  struct Source {
+    SemijoinSupport semijoin = SemijoinSupport::kNative;
+    double overhead = 0, per_item_sent = 0, per_item_received = 0;
+  };
+  std::vector<Source> sources_;
+  std::vector<std::vector<ItemSet>> satisfying_;  // [cond][source]
+};
+
+/// Marks a random 40% of sq cells and 40% of sjq cells cache-answerable,
+/// which prices them at zero and makes many orderings tie.
+QueryCacheView RandomCacheView(uint64_t seed, size_t m, size_t n) {
+  Rng rng(seed);
+  QueryCacheView view;
+  view.sq_answerable.assign(m, std::vector<char>(n, 0));
+  view.sjq_answerable.assign(m, std::vector<char>(n, 0));
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      view.sq_answerable[i][j] = rng.Bernoulli(0.4);
+      view.sjq_answerable[i][j] = rng.Bernoulli(0.4);
+    }
+  }
+  return view;
+}
+
+/// SJ and SJA must reach the enumeration's minimum cost; on `integral`
+/// models, where ties are exact, also its lexicographically first ordering
+/// and its decision matrix.
+void ExpectMatchesEnumeration(const CostModel& model, bool integral,
+                              const std::string& label) {
+  for (const bool adaptive : {false, true}) {
+    SCOPED_TRACE(label + (adaptive ? " SJA" : " SJ"));
+    const auto searched = adaptive ? OptimizeSja(model) : OptimizeSj(model);
+    ASSERT_TRUE(searched.ok()) << searched.status().ToString();
+    const EnumeratedPlan enumerated =
+        adaptive ? EnumerateSja(model) : EnumerateSj(model);
+    EXPECT_NEAR(searched->estimated_cost, enumerated.cost,
+                1e-9 * std::abs(enumerated.cost));
+    if (integral) {
+      EXPECT_EQ(searched->structure.ordering, enumerated.structure.ordering);
+      EXPECT_EQ(searched->structure.use_semijoin,
+                enumerated.structure.use_semijoin);
+    }
+  }
+}
+
+TEST(SubsetSearchTest, MatchesEnumerationOnScalarExactAndCachedModels) {
+  for (size_t m = 1; m <= 7; ++m) {
+    for (size_t n = 1; n <= 5; ++n) {
+      for (uint64_t rep = 0; rep < 2; ++rep) {
+        const uint64_t seed = 7000 + 100 * m + 10 * n + rep;
+        const std::string label =
+            "m=" + std::to_string(m) + " n=" + std::to_string(n) +
+            " seed=" + std::to_string(seed);
+        ExpectMatchesEnumeration(RandomModel(seed, m, n), /*integral=*/false,
+                                 label + " scalar");
+        const ExactIntegralModel exact(seed, m, n);
+        ExpectMatchesEnumeration(exact, /*integral=*/true, label + " exact");
+        const QueryCacheView view = RandomCacheView(seed, m, n);
+        ExpectMatchesEnumeration(CacheAwareCostModel(exact, view),
+                                 /*integral=*/true, label + " cached");
+      }
+    }
+  }
+}
+
+TEST(SubsetSearchTest, CountsSubsetTransitionsNotOrderings) {
+  Counter& considered = MetricsRegistry::Global().counter(
+      metrics::kOptimizerPlansConsidered);
+  const uint64_t before = considered.value();
+  ASSERT_TRUE(OptimizeSja(RandomModel(9, 9, 3)).ok());
+  // m·2^(m−1) (S, c) transitions at m=9, where the enumeration counted
+  // 9! = 362880 orderings.
+  EXPECT_EQ(considered.value() - before, 9u * 256u);
+
+  EXPECT_EQ(kMaxConditionsForExhaustive, 9u);
+  const ParametricCostModel ten = RandomModel(10, 10, 3);
+  EXPECT_FALSE(OptimizeSja(ten).ok());
+  EXPECT_FALSE(OptimizeSj(ten).ok());
+}
 
 // ---------------------------------------------------------------------------
 // SJA+ postoptimization
