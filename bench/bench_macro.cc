@@ -28,8 +28,6 @@
 //               [--oracle-sample=F] [--workers=N] [--max-queue=N]
 //               [--shards=K] [--pace=SEC]
 //               [--chaos-profile=off|light|heavy] [--out=PATH]
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -58,7 +56,7 @@
 #include "obs/metrics.h"
 #include "protocol/chaos.h"
 #include "relational/columnar.h"
-#include "protocol/socket.h"
+#include "protocol/tcp_server.h"
 
 namespace fusion {
 namespace bench {
@@ -415,67 +413,6 @@ int RunHarness(const Args& args) {
   service_options.max_queue = static_cast<size_t>(args.max_queue);
   service_options.client.execution.simulated_seconds_per_cost =
       args.pace_seconds;
-  std::vector<std::unique_ptr<QueryService>> services;
-  std::vector<TcpListener> shard_listeners;
-  std::vector<Shard> shard_specs;
-  for (size_t s = 0; s < args.shards; ++s) {
-    SourceCatalog catalog;
-    if (s == 0) {
-      catalog = std::move(workload.catalog());
-    } else {
-      auto replica = workload.MakeOracleCatalog();
-      if (!replica.ok()) {
-        std::fprintf(stderr, "shard %zu catalog: %s\n", s,
-                     replica.status().ToString().c_str());
-        return 1;
-      }
-      catalog = std::move(replica).value();
-    }
-    QueryService::Options shard_options = service_options;
-    if (args.shards > 1) {
-      shard_options.server_name = StrFormat("bench-macro-shard-%zu", s);
-    }
-    services.push_back(std::make_unique<QueryService>(
-        Mediator(std::move(catalog)), shard_options));
-    auto listener_or = TcpListener::Bind("127.0.0.1", 0);
-    if (!listener_or.ok()) {
-      std::fprintf(stderr, "bind: %s\n",
-                   listener_or.status().ToString().c_str());
-      return 1;
-    }
-    shard_listeners.push_back(std::move(listener_or).value());
-    Shard spec;
-    spec.name = StrFormat("shard-%zu", s);
-    spec.endpoint =
-        "127.0.0.1:" + std::to_string(shard_listeners.back().port());
-    shard_specs.push_back(spec);
-  }
-
-  std::unique_ptr<QueryRouter> router;
-  std::unique_ptr<TcpListener> router_listener;
-  std::string endpoint = shard_specs[0].endpoint;
-  if (args.shards > 1) {
-    auto map = ShardMap::Make(shard_specs);
-    if (!map.ok()) {
-      std::fprintf(stderr, "shard map: %s\n", map.status().ToString().c_str());
-      return 1;
-    }
-    QueryRouter::Options router_options;
-    router_options.server_name = "bench-macro-router";
-    router = std::make_unique<QueryRouter>(std::move(map).value(),
-                                           router_options);
-    auto listener_or = TcpListener::Bind("127.0.0.1", 0);
-    if (!listener_or.ok()) {
-      std::fprintf(stderr, "router bind: %s\n",
-                   listener_or.status().ToString().c_str());
-      return 1;
-    }
-    router_listener =
-        std::make_unique<TcpListener>(std::move(listener_or).value());
-    endpoint = "127.0.0.1:" + std::to_string(router_listener->port());
-    std::printf("bench_macro: %zu shards behind one router\n", args.shards);
-  }
-
   // Chaos at the serving edge: every accepted connection shares one seeded
   // decision stream, exactly as fusionqd's --chaos-* flags wire it. The
   // counter deltas (not absolutes — the registry is process-global) become
@@ -496,47 +433,71 @@ int RunHarness(const Args& args) {
   // sharded, the lone service otherwise. Router-to-shard links stay clean,
   // matching the deployment picture where fusionrd and its shards share a
   // rack while clients arrive over the open internet.
-  std::mutex connection_mutex;
-  std::vector<std::thread> connection_threads;
-  std::vector<std::thread> acceptors;
+  std::vector<std::unique_ptr<QueryService>> services;
+  std::vector<std::unique_ptr<TcpServer>> shard_servers;
+  std::vector<Shard> shard_specs;
   for (size_t s = 0; s < args.shards; ++s) {
-    const bool client_edge = args.shards == 1;
-    acceptors.emplace_back([&, s, client_edge] {
-      for (;;) {
-        Result<MessageSocket> accepted = shard_listeners[s].Accept();
-        if (!accepted.ok()) return;  // listener closed: harness shutdown
-        if (client_edge && ChaosRefuseAccept(chaos.get())) {
-          accepted->Close();
-          continue;
-        }
-        std::shared_ptr<ChaosDecider> edge_chaos =
-            client_edge ? chaos : nullptr;
-        std::lock_guard<std::mutex> lock(connection_mutex);
-        connection_threads.emplace_back(
-            [&services, s, edge_chaos,
-             socket = std::move(accepted).value()]() mutable {
-              services[s]->ServeConnection(
-                  ChaosSocket(std::move(socket), edge_chaos));
-            });
+    SourceCatalog catalog;
+    if (s == 0) {
+      catalog = std::move(workload.catalog());
+    } else {
+      auto replica = workload.MakeOracleCatalog();
+      if (!replica.ok()) {
+        std::fprintf(stderr, "shard %zu catalog: %s\n", s,
+                     replica.status().ToString().c_str());
+        return 1;
       }
-    });
+      catalog = std::move(replica).value();
+    }
+    QueryService::Options shard_options = service_options;
+    if (args.shards > 1) {
+      shard_options.server_name = StrFormat("bench-macro-shard-%zu", s);
+    }
+    services.push_back(std::make_unique<QueryService>(
+        Mediator(std::move(catalog)), shard_options));
+    TcpServer::Options server_options;
+    if (args.shards == 1) server_options.chaos = chaos;
+    QueryService* service = services.back().get();
+    shard_servers.push_back(std::make_unique<TcpServer>(
+        [service](const std::string& m) { return service->Handle(m); },
+        server_options));
+    const Status started = shard_servers.back()->Start();
+    if (!started.ok()) {
+      std::fprintf(stderr, "bind: %s\n", started.ToString().c_str());
+      return 1;
+    }
+    Shard spec;
+    spec.name = StrFormat("shard-%zu", s);
+    spec.endpoint =
+        "127.0.0.1:" + std::to_string(shard_servers.back()->port());
+    shard_specs.push_back(spec);
   }
-  if (router != nullptr) {
-    acceptors.emplace_back([&] {
-      for (;;) {
-        Result<MessageSocket> accepted = router_listener->Accept();
-        if (!accepted.ok()) return;
-        if (ChaosRefuseAccept(chaos.get())) {
-          accepted->Close();
-          continue;
-        }
-        std::lock_guard<std::mutex> lock(connection_mutex);
-        connection_threads.emplace_back(
-            [&router, chaos, socket = std::move(accepted).value()]() mutable {
-              router->ServeConnection(ChaosSocket(std::move(socket), chaos));
-            });
-      }
-    });
+
+  std::unique_ptr<QueryRouter> router;
+  std::unique_ptr<TcpServer> router_server;
+  std::string endpoint = shard_specs[0].endpoint;
+  if (args.shards > 1) {
+    auto map = ShardMap::Make(shard_specs);
+    if (!map.ok()) {
+      std::fprintf(stderr, "shard map: %s\n", map.status().ToString().c_str());
+      return 1;
+    }
+    QueryRouter::Options router_options;
+    router_options.server_name = "bench-macro-router";
+    router = std::make_unique<QueryRouter>(std::move(map).value(),
+                                           router_options);
+    TcpServer::Options server_options;
+    server_options.chaos = chaos;
+    router_server = std::make_unique<TcpServer>(
+        [&router](const std::string& m) { return router->Handle(m); },
+        server_options);
+    const Status started = router_server->Start();
+    if (!started.ok()) {
+      std::fprintf(stderr, "router bind: %s\n", started.ToString().c_str());
+      return 1;
+    }
+    endpoint = "127.0.0.1:" + std::to_string(router_server->port());
+    std::printf("bench_macro: %zu shards behind one router\n", args.shards);
   }
 
   // Tenant threads: each drives its deterministic stream through its own
@@ -678,23 +639,12 @@ int RunHarness(const Args& args) {
   }
   const QueryRouter::Counters router_counters =
       router != nullptr ? router->counters() : QueryRouter::Counters{};
-  // shutdown(2), not just close: closing an fd from another thread does not
-  // wake a blocked accept() on Linux; shutting the listener down does.
   // Client-facing edge first, then the router's pooled upstream links (so
-  // the shard serve loops see EOF), then the shard listeners.
-  if (router_listener != nullptr) {
-    ::shutdown(router_listener->fd(), SHUT_RDWR);
-    router_listener->Close();
-  }
-  for (TcpListener& listener : shard_listeners) {
-    ::shutdown(listener.fd(), SHUT_RDWR);
-    listener.Close();
-  }
-  for (std::thread& acceptor : acceptors) acceptor.join();
+  // the shard serve loops see EOF), then the shards.
+  if (router_server != nullptr) router_server->Stop();
   if (router != nullptr) router->Shutdown();
-  {
-    std::lock_guard<std::mutex> lock(connection_mutex);
-    for (std::thread& connection : connection_threads) connection.join();
+  for (const std::unique_ptr<TcpServer>& server : shard_servers) {
+    server->Stop();
   }
   const ChaosCounts chaos_after = GlobalChaosCounts();
   const uint64_t chaos_drops = chaos_after.drops - chaos_before.drops;

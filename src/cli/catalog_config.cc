@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "common/file_util.h"
 #include "common/str_util.h"
@@ -34,6 +35,21 @@ Result<double> ParseDouble(const std::string& value, const std::string& key) {
   return v;
 }
 
+Result<bool> ParseYesNo(const std::string& value, const std::string& key) {
+  if (EqualsIgnoreCase(value, "yes")) return true;
+  if (EqualsIgnoreCase(value, "no")) return false;
+  return Status::ParseError(key + " must be yes|no, got " + value);
+}
+
+/// The NetworkProfile keys of a source section.
+constexpr std::pair<const char*, double NetworkProfile::*> kNetworkKeys[] = {
+    {"overhead", &NetworkProfile::query_overhead},
+    {"send", &NetworkProfile::cost_per_item_sent},
+    {"recv", &NetworkProfile::cost_per_item_received},
+    {"proc", &NetworkProfile::processing_per_tuple},
+    {"width", &NetworkProfile::record_width_factor},
+};
+
 Status ApplyKeyValue(SourceSpecConfig& spec, const std::string& key,
                      const std::string& value) {
   if (key == "csv") {
@@ -41,61 +57,23 @@ Status ApplyKeyValue(SourceSpecConfig& spec, const std::string& key,
     return Status::Ok();
   }
   if (key == "semijoin") {
-    if (EqualsIgnoreCase(value, "native")) {
-      spec.capabilities.semijoin = SemijoinSupport::kNative;
-    } else if (EqualsIgnoreCase(value, "bindings")) {
-      spec.capabilities.semijoin = SemijoinSupport::kPassedBindingsOnly;
-    } else if (EqualsIgnoreCase(value, "none")) {
-      spec.capabilities.semijoin = SemijoinSupport::kUnsupported;
-    } else {
-      return Status::ParseError("semijoin must be native|bindings|none, got " +
-                                value);
-    }
+    FUSION_ASSIGN_OR_RETURN(spec.capabilities.semijoin,
+                            ParseSemijoinSupport(value));
     return Status::Ok();
   }
   if (key == "load") {
-    if (EqualsIgnoreCase(value, "yes")) {
-      spec.capabilities.supports_load = true;
-    } else if (EqualsIgnoreCase(value, "no")) {
-      spec.capabilities.supports_load = false;
-    } else {
-      return Status::ParseError("load must be yes|no, got " + value);
+    FUSION_ASSIGN_OR_RETURN(spec.capabilities.supports_load,
+                            ParseYesNo(value, key));
+    return Status::Ok();
+  }
+  for (const auto& [name, field] : kNetworkKeys) {
+    if (key == name) {
+      FUSION_ASSIGN_OR_RETURN(spec.network.*field, ParseDouble(value, key));
+      return Status::Ok();
     }
-    return Status::Ok();
-  }
-  if (key == "overhead") {
-    FUSION_ASSIGN_OR_RETURN(spec.network.query_overhead,
-                            ParseDouble(value, key));
-    return Status::Ok();
-  }
-  if (key == "send") {
-    FUSION_ASSIGN_OR_RETURN(spec.network.cost_per_item_sent,
-                            ParseDouble(value, key));
-    return Status::Ok();
-  }
-  if (key == "recv") {
-    FUSION_ASSIGN_OR_RETURN(spec.network.cost_per_item_received,
-                            ParseDouble(value, key));
-    return Status::Ok();
-  }
-  if (key == "proc") {
-    FUSION_ASSIGN_OR_RETURN(spec.network.processing_per_tuple,
-                            ParseDouble(value, key));
-    return Status::Ok();
-  }
-  if (key == "width") {
-    FUSION_ASSIGN_OR_RETURN(spec.network.record_width_factor,
-                            ParseDouble(value, key));
-    return Status::Ok();
   }
   if (key == "outage") {
-    if (EqualsIgnoreCase(value, "yes")) {
-      spec.outage = true;
-    } else if (EqualsIgnoreCase(value, "no")) {
-      spec.outage = false;
-    } else {
-      return Status::ParseError("outage must be yes|no, got " + value);
-    }
+    FUSION_ASSIGN_OR_RETURN(spec.outage, ParseYesNo(value, key));
     return Status::Ok();
   }
   if (key == "flaky") {

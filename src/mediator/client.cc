@@ -1,19 +1,14 @@
 #include "mediator/client.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "cli/catalog_config.h"
-#include "common/rng.h"
 #include "common/str_util.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/classifier.h"
+#include "protocol/exchange.h"
 #include "query/parser.h"
 
 namespace fusion {
@@ -32,79 +27,7 @@ const char* CacheProvenanceName(char provenance) {
   }
 }
 
-void SleepSeconds(double seconds) {
-  if (seconds <= 0.0) return;
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(seconds));
-}
-
-/// Transport-level failures a redial can cure. Protocol-level failures
-/// (kParseError from a malformed frame, an ERROR response) are final — a
-/// fresh connection would get the same answer.
-bool IsTransportError(const Status& status) {
-  return status.code() == StatusCode::kUnavailable ||
-         status.code() == StatusCode::kDeadlineExceeded ||
-         status.code() == StatusCode::kInternal;
-}
-
-/// HELLO-phase failures worth a redial: every transport error plus the
-/// kParseError a torn HELLO reply produces (a fresh connection gets a whole
-/// frame; a genuinely incompatible peer merely costs the bounded backoff
-/// schedule before the same error surfaces).
-bool IsHelloRetryable(const Status& status) {
-  return IsTransportError(status) ||
-         status.code() == StatusCode::kParseError;
-}
-
-/// Client-minted SUBMIT idempotency keys: unique per (process, mint) with
-/// overwhelming probability, deterministic under FUSION_SEED (the soak test
-/// replays a run byte-for-byte), and never 0 (0 = "no request-id" on the
-/// wire).
-uint64_t MintRequestId() {
-  static std::atomic<uint64_t> counter{0};
-  const uint64_t n = counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  const uint64_t seed =
-      GlobalSeed(0x9e3779b97f4a7c15ull ^ static_cast<uint64_t>(getpid()));
-  const uint64_t id = MixSeed(MixSeed(seed, 0x1de9u), n);
-  return id == 0 ? 1 : id;
-}
-
-struct HelloResult {
-  MessageSocket socket;
-  ClientResponse response;
-};
-
-/// Dials `endpoint` and runs the FUSIONQ/1 HELLO handshake — the one
-/// connection-establishment path, shared by Builder::Build and the
-/// transparent-reconnect redial so a reconnected client renegotiates
-/// features exactly like a fresh one.
-Result<HelloResult> DialAndHello(const std::string& endpoint,
-                                 const std::string& client_id) {
-  HelloResult out;
-  FUSION_ASSIGN_OR_RETURN(out.socket, DialTcp(endpoint));
-  ClientRequest hello;
-  hello.kind = ClientRequest::Kind::kHello;
-  hello.client_id = client_id;
-  hello.features = ClientProtocolFeatures();
-  FUSION_RETURN_IF_ERROR(out.socket.Send(SerializeClientRequest(hello)));
-  FUSION_ASSIGN_OR_RETURN(const std::string reply, out.socket.Receive());
-  FUSION_ASSIGN_OR_RETURN(out.response, ParseClientResponse(reply));
-  if (!out.response.ok) {
-    return Status(out.response.error_code,
-                  "hello: " + out.response.error_message);
-  }
-  return out;
-}
-
 }  // namespace
-
-void Client::AdoptServerFeatures(Remote& remote,
-                                 const ClientResponse& response) {
-  // Rebuilt wholesale (not merged): a restarted daemon may speak fewer
-  // features than its predecessor, and stale capabilities must not survive
-  // a reconnect.
-  remote.server_features = FeatureSet::FromNames(response.features);
-}
 
 std::vector<std::string> RenderExplainLines(const QueryAnswer& answer,
                                             const PlanPrintNames& names) {
@@ -161,34 +84,20 @@ Result<Client> Client::Builder::Build() {
             "Client::Builder: Target::Remote endpoint is empty");
       }
     }
-    auto remote = std::make_unique<Remote>();
-    remote->endpoints = target_.endpoints_;
-    remote->client_id = client_id_;
-    remote->reconnect = reconnect_;
+    client.remote_ = std::make_unique<Remote>();
+    Remote& remote = *client.remote_;
+    remote.endpoints = target_.endpoints_;
+    remote.client_id = client_id_;
+    remote.reconnect = reconnect_;
     // HELLO handshake: validates that the peer speaks FUSIONQ/1 before the
     // caller trusts the connection, and names the server for diagnostics.
     // Dialing retries transient failures under the reconnect policy,
     // rotating across the target's endpoints — a daemon mid-restart (or a
     // chaos accept-refusal) costs backoff, not a build failure, and a dead
     // first endpoint costs one probe before the next is tried.
-    const int attempts = std::max(1, reconnect_.max_attempts);
-    Result<HelloResult> hello = Status::Unavailable("never dialed");
-    for (int attempt = 1; attempt <= attempts; ++attempt) {
-      if (attempt > 1) {
-        SleepSeconds(reconnect_.BackoffSeconds(0, attempt - 1));
-      }
-      remote->active =
-          static_cast<size_t>(attempt - 1) % remote->endpoints.size();
-      hello = DialAndHello(remote->endpoints[remote->active], client_id_);
-      if (hello.ok() || !IsHelloRetryable(hello.status())) break;
-    }
-    FUSION_RETURN_IF_ERROR(hello.status());
-    remote->socket = std::move(hello.value().socket);
-    const ClientResponse& response = hello.value().response;
-    client.server_ = response.server;
-    client.server_features_ = response.features;
-    AdoptServerFeatures(*remote, response);
-    client.remote_ = std::move(remote);
+    FUSION_RETURN_IF_ERROR(
+        DialWithRetry(std::max(1, reconnect_.max_attempts), reconnect_,
+                      [&client] { return client.RemoteDialLocked(); }));
     return client;
   }
   SourceCatalog catalog = std::move(target_.catalog_);
@@ -220,12 +129,12 @@ size_t Client::reconnects() const {
   return remote_->reconnects;
 }
 
-Status Client::RemoteReconnectLocked() {
+Status Client::RemoteDialLocked() {
   Remote& remote = *remote_;
   remote.socket.Close();
   // Sticky-rotate failover: start at the endpoint that last worked, and on
-  // a retryable failure probe the rest in order — one sweep per reconnect
-  // attempt (the caller's backoff schedule paces the sweeps).
+  // a retryable failure probe the rest in order — one sweep per attempt
+  // (the caller's backoff schedule paces the sweeps).
   Status last_error = Status::Unavailable("no endpoints configured");
   for (size_t i = 0; i < remote.endpoints.size(); ++i) {
     const size_t index = (remote.active + i) % remote.endpoints.size();
@@ -240,11 +149,17 @@ Status Client::RemoteReconnectLocked() {
     remote.socket = std::move(hello.value().socket);
     server_ = hello.value().response.server;
     server_features_ = hello.value().response.features;
-    AdoptServerFeatures(remote, hello.value().response);
-    ++remote.reconnects;
-    static Counter& reconnects =
-        MetricsRegistry::Global().counter(metrics::kClientReconnectsTotal);
-    reconnects.Increment();
+    // Rebuilt wholesale (not merged): a restarted daemon may speak fewer
+    // features than its predecessor, and stale capabilities must not
+    // survive a reconnect.
+    remote.server_features = FeatureSet::FromNames(server_features_);
+    if (remote.dialed_once) {
+      ++remote.reconnects;
+      static Counter& reconnects =
+          MetricsRegistry::Global().counter(metrics::kClientReconnectsTotal);
+      reconnects.Increment();
+    }
+    remote.dialed_once = true;
     return Status::Ok();
   }
   return last_error;
@@ -253,56 +168,33 @@ Status Client::RemoteReconnectLocked() {
 Result<ClientResponse> Client::RemoteExchangeLocked(
     const ClientRequest& request) {
   Remote& remote = *remote_;
-  // When is a *resend* safe? HELLO/STATUS/STATS/CANCEL are read-only or
-  // idempotent by construction. SUBMIT executes a query: resending one the
-  // server may already have received risks a second execution (and second
-  // metering) — only the request-id dedup makes that replay safe, so
-  // without negotiated idempotency a SUBMIT gets redial-before-send at
-  // most, never send-again-after-send.
-  const bool resend_safe =
-      request.kind != ClientRequest::Kind::kSubmit ||
-      (remote.server_features.Has(Feature::kIdempotency) &&
-       request.request_id != 0);
-  const std::string wire = SerializeClientRequest(request);
-  const int attempts = std::max(1, remote.reconnect.max_attempts);
-  Status last_error = Status::Unavailable("connection lost");
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    if (attempt > 1) {
-      SleepSeconds(remote.reconnect.BackoffSeconds(0, attempt - 1));
-      const Status redial = RemoteReconnectLocked();
-      if (!redial.ok()) {
-        if (!IsHelloRetryable(redial)) return redial;
-        last_error = redial;
-        continue;
-      }
-    }
-    bool frame_sent = false;
-    bool transport_failure = false;
-    const Status sent = remote.socket.Send(wire);
-    if (sent.ok()) {
-      frame_sent = true;
-      Result<std::string> reply = remote.socket.Receive();
-      if (reply.ok()) return ParseClientResponse(reply.value());
-      // A failed Receive is always a transport event — including the
-      // kParseError a torn response frame produces ("connection closed
-      // mid-message"): a redial gets a fresh, whole frame. Only
-      // ParseClientResponse on a *complete* frame is a protocol error.
-      last_error = reply.status();
-      transport_failure = true;
-    } else {
-      last_error = sent;
-      transport_failure = IsTransportError(sent);
-    }
-    if (!transport_failure) return last_error;
-    // Transport failure: this connection is dead. Close it so the next
-    // attempt redials; stop retrying when the frame may have been
-    // delivered and a resend is not replay-safe.
-    remote.socket.Close();
-    if (frame_sent && !resend_safe) break;
+  ExchangeChannel channel;
+  channel.connect = [this, &remote]() -> Result<MessageSocket*> {
+    if (!remote.socket.valid()) FUSION_RETURN_IF_ERROR(RemoteDialLocked());
+    return &remote.socket;
+  };
+  channel.drop = [&remote] { remote.socket.Close(); };
+  channel.resend_safe = [&remote, &request] {
+    return ResendSafe(request, remote.server_features);
+  };
+  const Result<std::string> reply =
+      RedialingExchange(SerializeClientRequest(request),
+                        std::max(1, remote.reconnect.max_attempts),
+                        remote.reconnect, channel);
+  if (!reply.ok()) {
+    return Status(reply.status().code(),
+                  reply.status().message() + " (endpoint " +
+                      remote.endpoints[remote.active] + ")");
   }
-  return Status(last_error.code(),
-                last_error.message() + " (endpoint " +
-                    remote.endpoints[remote.active] + ")");
+  FUSION_ASSIGN_OR_RETURN(ClientResponse response, ParseClientResponse(*reply));
+  if (!response.ok) return Status(response.error_code, response.error_message);
+  return response;
+}
+
+Status Client::RequireFeatureLocked(Feature feature) const {
+  if (remote_->server_features.Has(feature)) return Status::Ok();
+  return Status::Unsupported("server '" + server_ + "' does not speak the " +
+                             FeatureName(feature) + " feature");
 }
 
 ClientAnswer SummarizeAnswer(QueryAnswer answer) {
@@ -370,13 +262,10 @@ Result<ClientAnswer> Client::RemoteQuery(const std::string& sql,
     // connection dies mid-exchange, RemoteExchangeLocked reconnects and
     // re-sends the same request-id, and the service's dedup table hands
     // back the original execution's outcome.
-    request.request_id = MintRequestId();
+    request.request_id = MintRequestId(kClientRequestIdSalt);
   }
   FUSION_ASSIGN_OR_RETURN(const ClientResponse response,
                           RemoteExchangeLocked(request));
-  if (!response.ok) {
-    return Status(response.error_code, response.error_message);
-  }
   ClientAnswer out;
   for (const Value& v : response.items) out.items.Insert(v);
   out.cost = response.cost;
@@ -396,10 +285,7 @@ Result<ClientAnswer> Client::QuerySqlExplained(const std::string& sql) {
   if (remote_ != nullptr) {
     {
       std::lock_guard<std::mutex> lock(remote_->mutex);
-      if (!remote_->server_features.Has(Feature::kExplain)) {
-        return Status::Unsupported(
-            "server '" + server_ + "' does not speak the explain feature");
-      }
+      FUSION_RETURN_IF_ERROR(RequireFeatureLocked(Feature::kExplain));
     }
     return RemoteQuery(sql, CallControls{}, /*explain=*/true);
   }
@@ -426,18 +312,12 @@ Result<std::string> Client::Stats() {
     return RenderStatsText(MetricsRegistry::Global().Snapshot(), {});
   }
   std::lock_guard<std::mutex> lock(remote_->mutex);
-  if (!remote_->server_features.Has(Feature::kStats)) {
-    return Status::Unsupported(
-        "server '" + server_ + "' does not speak the stats feature");
-  }
+  FUSION_RETURN_IF_ERROR(RequireFeatureLocked(Feature::kStats));
   ClientRequest request;
   request.kind = ClientRequest::Kind::kStats;
   request.client_id = remote_->client_id;
   FUSION_ASSIGN_OR_RETURN(const ClientResponse response,
                           RemoteExchangeLocked(request));
-  if (!response.ok) {
-    return Status(response.error_code, response.error_message);
-  }
   std::string text;
   for (const std::string& line : response.stats_lines) {
     text += line;
@@ -458,10 +338,7 @@ Result<std::string> Client::InvalidateSource(const std::string& source,
     return std::string("applied");
   }
   std::lock_guard<std::mutex> lock(remote_->mutex);
-  if (!remote_->server_features.Has(Feature::kSharding)) {
-    return Status::Unsupported(
-        "server '" + server_ + "' does not speak the sharding feature");
-  }
+  FUSION_RETURN_IF_ERROR(RequireFeatureLocked(Feature::kSharding));
   ClientRequest request;
   request.kind = ClientRequest::Kind::kInvalidate;
   request.client_id = remote_->client_id;
@@ -469,9 +346,6 @@ Result<std::string> Client::InvalidateSource(const std::string& source,
   request.version = version;
   FUSION_ASSIGN_OR_RETURN(const ClientResponse response,
                           RemoteExchangeLocked(request));
-  if (!response.ok) {
-    return Status(response.error_code, response.error_message);
-  }
   return response.state;
 }
 

@@ -274,6 +274,7 @@ class Client {
     /// request-id) and verbs (STATS, INVALIDATE, explain) are only sent to
     /// servers whose advertised set has the matching Feature.
     FeatureSet server_features;
+    bool dialed_once = false;
     size_t reconnects = 0;  // guarded by mutex
   };
 
@@ -283,26 +284,25 @@ class Client {
                                    const CallControls& controls,
                                    bool explain = false);
 
-  /// One request/response over the remote connection, with transparent
-  /// redial + re-HELLO + resend on transport failure (capped exponential
-  /// backoff per Remote::reconnect). A SUBMIT is only ever *resent* when
-  /// the server negotiated idempotency and the request carries a
-  /// request-id — otherwise a lost connection after the frame may have
-  /// shipped surfaces as the transport error (at-most-once beats a
-  /// possible double execution). Requires Remote::mutex held (callers hold
-  /// it across building the request too, because reconnection renegotiates
-  /// the feature flags the request depends on).
+  /// One request/response over the remote connection: RedialingExchange
+  /// with transparent redial + re-HELLO + resend on transport failure
+  /// (capped exponential backoff per Remote::reconnect). A SUBMIT is only
+  /// ever *resent* when the server negotiated idempotency and the request
+  /// carries a request-id (ResendSafe). Requires Remote::mutex held
+  /// (callers hold it across building the request too, because
+  /// reconnection renegotiates the feature flags the request depends on).
+  /// An ERROR response comes back as its Status.
   Result<ClientResponse> RemoteExchangeLocked(const ClientRequest& request);
 
-  /// Redials Remote::endpoint and re-runs the HELLO handshake, refreshing
-  /// the negotiated feature set. Requires Remote::mutex held.
-  Status RemoteReconnectLocked();
+  /// kUnsupported unless the server advertised `feature`. Requires
+  /// Remote::mutex held.
+  Status RequireFeatureLocked(Feature feature) const;
 
-  /// Applies a HELLO response's advertised feature tokens to the
-  /// connection's negotiated-capability flags (clearing stale ones first —
-  /// a restarted daemon may speak fewer features than its predecessor).
-  static void AdoptServerFeatures(Remote& remote,
-                                  const ClientResponse& response);
+  /// Dials the endpoints sticky-rotate from Remote::active and runs the
+  /// HELLO handshake, adopting the server's name and feature set. Every
+  /// dial after the first counts as a reconnect. Requires Remote::mutex
+  /// held (or an unshared client, during Build).
+  Status RemoteDialLocked();
 
   std::unique_ptr<QuerySession> session_;  // embedded mode
   std::unique_ptr<Remote> remote_;         // connected mode

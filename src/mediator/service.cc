@@ -7,6 +7,7 @@
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "protocol/tcp_server.h"
 #include "query/parser.h"
 
 namespace fusion {
@@ -38,6 +39,22 @@ std::vector<std::string> ExplainLinesFor(const std::string& sql,
     names.sources.push_back(catalog.source(j).name());
   }
   return RenderExplainLines(answer, names);
+}
+
+/// The RESULT fields of a response: the answer and its metering.
+ClientResponse ResultResponse(const ClientAnswer& answer) {
+  ClientResponse response;
+  response.items.assign(answer.items.begin(), answer.items.end());
+  response.cost = answer.cost;
+  response.source_queries = answer.source_queries;
+  response.cache_hits = answer.cache_hits;
+  response.cache_misses = answer.cache_misses;
+  response.cache_containment_hits = answer.cache_containment_hits;
+  response.items_sent = answer.items_sent;
+  response.items_received = answer.items_received;
+  response.calibration_cost = answer.calibration_cost;
+  response.complete = answer.complete;
+  return response;
 }
 
 }  // namespace
@@ -368,19 +385,9 @@ ClientResponse QueryService::HandleParsed(const ClientRequest& request) {
         response.ticket = *ticket;
         return response;
       }
-      ClientResponse response;
+      ClientResponse response = ResultResponse(*outcome);
       response.ticket = *ticket;
       response.state = "done";
-      for (const Value& v : outcome->items) response.items.push_back(v);
-      response.cost = outcome->cost;
-      response.source_queries = outcome->source_queries;
-      response.cache_hits = outcome->cache_hits;
-      response.cache_misses = outcome->cache_misses;
-      response.cache_containment_hits = outcome->cache_containment_hits;
-      response.items_sent = outcome->items_sent;
-      response.items_received = outcome->items_received;
-      response.calibration_cost = outcome->calibration_cost;
-      response.complete = outcome->complete;
       if (request.explain && outcome->detail != nullptr) {
         response.explain_lines =
             ExplainLinesFor(request.sql, *session_, *outcome->detail);
@@ -392,17 +399,7 @@ ClientResponse QueryService::HandleParsed(const ClientRequest& request) {
       if (!status.ok()) return ClientErrorResponse(status.status());
       ClientResponse response;
       if (status->state == "done") {
-        const ClientAnswer& answer = *status->outcome;
-        for (const Value& v : answer.items) response.items.push_back(v);
-        response.cost = answer.cost;
-        response.source_queries = answer.source_queries;
-        response.cache_hits = answer.cache_hits;
-        response.cache_misses = answer.cache_misses;
-        response.cache_containment_hits = answer.cache_containment_hits;
-        response.items_sent = answer.items_sent;
-        response.items_received = answer.items_received;
-        response.calibration_cost = answer.calibration_cost;
-        response.complete = answer.complete;
+        response = ResultResponse(*status->outcome);
       } else if (status->state == "failed" || status->state == "cancelled") {
         response = ClientErrorResponse(status->outcome.status());
       }
@@ -452,20 +449,9 @@ std::string QueryService::Handle(const std::string& request_text) {
 }
 
 void QueryService::ServeConnection(ChaosSocket socket) {
-  if (socket.valid()) {
-    socket.inner().SetReceiveLimit(8 * kMaxClientProtocolLineBytes);
-    if (options_.stall_deadline_seconds > 0.0) {
-      // Best-effort: a failed setsockopt leaves the connection unguarded,
-      // not unserved.
-      (void)socket.inner().SetStallDeadline(options_.stall_deadline_seconds);
-    }
-  }
-  for (;;) {
-    const Result<std::string> message = socket.Receive();
-    if (!message.ok()) return;  // peer closed, stalled, or transport error
-    const std::string response = Handle(*message);
-    if (!socket.Send(response).ok()) return;
-  }
+  ServeFrames(socket, kMaxClientProtocolFrameBytes,
+              options_.stall_deadline_seconds,
+              [this](const std::string& request) { return Handle(request); });
 }
 
 }  // namespace fusion

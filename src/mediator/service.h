@@ -41,8 +41,8 @@ namespace fusion {
 ///
 /// Surfaces: the programmatic Submit/Wait/Cancel/Status API (used by tests
 /// and embedded drivers), the protocol-level Handle() mapping one FUSIONQ/1
-/// request to one response, and ServeConnection() — the blocking
-/// read-dispatch-reply loop fusionqd runs per accepted socket.
+/// request to one response (what fusionqd's TcpServer serves), and
+/// ServeConnection() for a socket accepted elsewhere.
 ///
 /// All public methods are thread-safe; one QueryService instance serves
 /// every connection thread of the daemon.
@@ -136,12 +136,9 @@ class QueryService {
   /// concurrent clients exercise the shared cache and breakers.
   std::string Handle(const std::string& request_text);
 
-  /// Runs the per-connection serve loop: receive one request, Handle it,
-  /// send the response, until the peer closes (or the socket errors).
-  /// fusionqd runs this on one thread per accepted connection. Accepts a
-  /// plain MessageSocket (implicitly wrapped, no chaos) or a ChaosSocket
-  /// carrying a fault-injection policy; Options::stall_deadline_seconds is
-  /// armed on the connection either way.
+  /// Serves one connection with ServeFrames over Handle, under
+  /// Options::stall_deadline_seconds, until the peer closes. Accepts a plain
+  /// MessageSocket (implicitly wrapped, no chaos) or a ChaosSocket.
   void ServeConnection(ChaosSocket socket);
 
   /// Begins shutdown: rejects new submissions and cancels all outstanding

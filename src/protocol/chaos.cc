@@ -1,10 +1,8 @@
 #include "protocol/chaos.h"
 
-#include <chrono>
-#include <thread>
-
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "protocol/exchange.h"
 
 namespace fusion {
 namespace {
@@ -22,11 +20,6 @@ void CountFault(std::atomic<uint64_t>& local, const char* metric) {
   MetricsRegistry::Global().counter(metric).Increment();
 }
 
-void SleepMs(double ms) {
-  if (ms <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-}
-
 }  // namespace
 
 double ChaosDecider::NextUniform() {
@@ -37,23 +30,30 @@ double ChaosDecider::NextUniform() {
   return static_cast<double>(bits >> 11) * (1.0 / 9007199254740992.0);
 }
 
+Status ChaosSocket::InjectBefore(const char* operation) {
+  const ChaosPolicy& policy = chaos_->policy();
+  if (chaos_->Fire(policy.delay_rate)) {
+    CountFault(g_delays, metrics::kChaosDelaysTotal);
+    SleepSeconds(policy.delay_ms / 1e3);
+  }
+  if (chaos_->Fire(policy.hang_rate)) {
+    CountFault(g_hangs, metrics::kChaosHangsTotal);
+    SleepSeconds(policy.hang_ms / 1e3);
+  }
+  if (chaos_->Fire(policy.drop_rate)) {
+    CountFault(g_drops, metrics::kChaosDropsTotal);
+    socket_.Close();
+    return Status::Unavailable(std::string("chaos: connection reset before ") +
+                               operation);
+  }
+  return Status::Ok();
+}
+
 Status ChaosSocket::Send(const std::string& message) {
-  if (chaos_ != nullptr && chaos_->policy().enabled()) {
-    const ChaosPolicy& policy = chaos_->policy();
-    if (chaos_->Fire(policy.delay_rate)) {
-      CountFault(g_delays, metrics::kChaosDelaysTotal);
-      SleepMs(policy.delay_ms);
-    }
-    if (chaos_->Fire(policy.hang_rate)) {
-      CountFault(g_hangs, metrics::kChaosHangsTotal);
-      SleepMs(policy.hang_ms);
-    }
-    if (chaos_->Fire(policy.drop_rate)) {
-      CountFault(g_drops, metrics::kChaosDropsTotal);
-      socket_.Close();
-      return Status::Unavailable("chaos: connection reset before send");
-    }
-    if (message.size() > 1 && chaos_->Fire(policy.torn_write_rate)) {
+  if (Injecting()) {
+    FUSION_RETURN_IF_ERROR(InjectBefore("send"));
+    if (message.size() > 1 &&
+        chaos_->Fire(chaos_->policy().torn_write_rate)) {
       CountFault(g_torn_writes, metrics::kChaosTornWritesTotal);
       // Ship a strict prefix so the peer holds half a frame, then close:
       // the peer's next Receive sees "connection closed mid-message".
@@ -66,22 +66,7 @@ Status ChaosSocket::Send(const std::string& message) {
 }
 
 Result<std::string> ChaosSocket::Receive() {
-  if (chaos_ != nullptr && chaos_->policy().enabled()) {
-    const ChaosPolicy& policy = chaos_->policy();
-    if (chaos_->Fire(policy.delay_rate)) {
-      CountFault(g_delays, metrics::kChaosDelaysTotal);
-      SleepMs(policy.delay_ms);
-    }
-    if (chaos_->Fire(policy.hang_rate)) {
-      CountFault(g_hangs, metrics::kChaosHangsTotal);
-      SleepMs(policy.hang_ms);
-    }
-    if (chaos_->Fire(policy.drop_rate)) {
-      CountFault(g_drops, metrics::kChaosDropsTotal);
-      socket_.Close();
-      return Status::Unavailable("chaos: connection reset before receive");
-    }
-  }
+  if (Injecting()) FUSION_RETURN_IF_ERROR(InjectBefore("receive"));
   return socket_.Receive();
 }
 

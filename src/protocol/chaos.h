@@ -127,6 +127,13 @@ class ChaosSocket {
   void Close() { socket_.Close(); }
 
  private:
+  bool Injecting() const {
+    return chaos_ != nullptr && chaos_->policy().enabled();
+  }
+  /// The faults both directions share, in decision order: delay, hang,
+  /// reset (returned as kUnavailable).
+  Status InjectBefore(const char* operation);
+
   MessageSocket socket_;
   std::shared_ptr<ChaosDecider> chaos_;
 };

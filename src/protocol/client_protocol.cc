@@ -1,83 +1,24 @@
 #include "protocol/client_protocol.h"
 
-#include <cstdlib>
-
-#include "common/str_util.h"
-#include "protocol/message.h"
+#include "protocol/wire.h"
 
 namespace fusion {
 namespace {
 
 constexpr char kMagic[] = "FUSIONQ/1";
+constexpr FrameFormat kRequestFormat{kMagic, kMaxClientProtocolLineBytes,
+                                     "client request"};
+constexpr FrameFormat kResponseFormat{kMagic, kMaxClientProtocolLineBytes,
+                                      "client response"};
 
-const char* RequestKindName(ClientRequest::Kind kind) {
-  switch (kind) {
-    case ClientRequest::Kind::kHello:
-      return "HELLO";
-    case ClientRequest::Kind::kSubmit:
-      return "SUBMIT";
-    case ClientRequest::Kind::kStatus:
-      return "STATUS";
-    case ClientRequest::Kind::kCancel:
-      return "CANCEL";
-    case ClientRequest::Kind::kStats:
-      return "STATS";
-    case ClientRequest::Kind::kInvalidate:
-      return "INVALIDATE";
-  }
-  return "?";
-}
-
-Result<ClientRequest::Kind> ParseRequestKind(const std::string& name) {
-  if (name == "HELLO") return ClientRequest::Kind::kHello;
-  if (name == "SUBMIT") return ClientRequest::Kind::kSubmit;
-  if (name == "STATUS") return ClientRequest::Kind::kStatus;
-  if (name == "CANCEL") return ClientRequest::Kind::kCancel;
-  if (name == "STATS") return ClientRequest::Kind::kStats;
-  if (name == "INVALIDATE") return ClientRequest::Kind::kInvalidate;
-  return Status::ParseError("unknown client request kind: " + name);
-}
-
-std::string JoinFeatures(const std::vector<std::string>& features) {
-  std::string out;
-  for (const std::string& f : features) {
-    if (!out.empty()) out += ",";
-    out += f;
-  }
-  return out;
-}
-
-std::vector<std::string> SplitFeatures(const std::string& text) {
-  std::vector<std::string> out;
-  for (const std::string& f : StrSplit(text, ',')) {
-    if (!f.empty()) out.push_back(f);
-  }
-  return out;
-}
-
-Result<uint64_t> ParseU64(const std::string& key, const std::string& text) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::ParseError("bad " + key + ": " + text);
-  }
-  return static_cast<uint64_t>(std::strtoull(text.c_str(), nullptr, 10));
-}
-
-Result<uint64_t> ParseTicket(const std::string& text) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::ParseError("bad ticket: " + text);
-  }
-  return static_cast<uint64_t>(std::strtoull(text.c_str(), nullptr, 10));
-}
-
-Result<size_t> ParseCount(const std::string& key, const std::string& text) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::ParseError("bad " + key + " count: " + text);
-  }
-  return static_cast<size_t>(std::strtoull(text.c_str(), nullptr, 10));
-}
+constexpr WireVerb<ClientRequest::Kind> kVerbs[] = {
+    {ClientRequest::Kind::kHello, "HELLO"},
+    {ClientRequest::Kind::kSubmit, "SUBMIT"},
+    {ClientRequest::Kind::kStatus, "STATUS"},
+    {ClientRequest::Kind::kCancel, "CANCEL"},
+    {ClientRequest::Kind::kStats, "STATS"},
+    {ClientRequest::Kind::kInvalidate, "INVALIDATE"},
+};
 
 }  // namespace
 
@@ -86,206 +27,151 @@ std::vector<std::string> ClientProtocolFeatures() {
 }
 
 std::string SerializeClientRequest(const ClientRequest& request) {
-  std::string out =
-      std::string(kMagic) + " " + RequestKindName(request.kind) + "\n";
-  if (!request.client_id.empty()) {
-    out += "client " + EscapeWireText(request.client_id) + "\n";
+  using Kind = ClientRequest::Kind;
+  FrameWriter frame(kMagic, WireVerbName(kVerbs, request.kind));
+  if (!request.client_id.empty()) frame.Text("client", request.client_id);
+  if (!request.sql.empty()) frame.Text("sql", request.sql);
+  if (request.kind == Kind::kStatus || request.kind == Kind::kCancel) {
+    frame.U64("ticket", request.ticket);
   }
-  if (!request.sql.empty()) {
-    out += "sql " + EscapeWireText(request.sql) + "\n";
-  }
-  if (request.kind == ClientRequest::Kind::kStatus ||
-      request.kind == ClientRequest::Kind::kCancel) {
-    out += "ticket " + std::to_string(request.ticket) + "\n";
-  }
-  if (request.kind == ClientRequest::Kind::kSubmit && !request.wait) {
-    out += "wait no\n";
-  }
-  if (request.kind == ClientRequest::Kind::kSubmit && request.explain) {
-    out += "explain yes\n";
-  }
-  if (request.kind == ClientRequest::Kind::kHello &&
-      !request.features.empty()) {
-    out += "features " + JoinFeatures(request.features) + "\n";
-  }
-  if (request.kind == ClientRequest::Kind::kSubmit && request.trace_id != 0) {
-    out += "trace-id " + std::to_string(request.trace_id) + "\n";
-    if (request.parent_span != 0) {
-      out += "parent-span " + std::to_string(request.parent_span) + "\n";
+  if (request.kind == Kind::kSubmit) {
+    if (!request.wait) frame.Field("wait", "no");
+    if (request.explain) frame.Field("explain", "yes");
+    if (request.trace_id != 0) {
+      frame.U64("trace-id", request.trace_id);
+      if (request.parent_span != 0) {
+        frame.U64("parent-span", request.parent_span);
+      }
     }
+    if (request.request_id != 0) frame.U64("request-id", request.request_id);
   }
-  if (request.kind == ClientRequest::Kind::kSubmit && request.request_id != 0) {
-    out += "request-id " + std::to_string(request.request_id) + "\n";
+  if (request.kind == Kind::kHello && !request.features.empty()) {
+    frame.Csv("features", request.features);
   }
-  if (request.kind == ClientRequest::Kind::kInvalidate) {
-    out += "source " + EscapeWireText(request.source) + "\n";
-    if (request.version != 0) {
-      out += "version " + std::to_string(request.version) + "\n";
-    }
+  if (request.kind == Kind::kInvalidate) {
+    frame.Text("source", request.source);
+    if (request.version != 0) frame.U64("version", request.version);
   }
-  out += "end\n";
-  return out;
+  return frame.Finish();
 }
 
 Result<ClientRequest> ParseClientRequest(const std::string& text) {
-  FUSION_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
-                          SplitWireLines(text, kMaxClientProtocolLineBytes,
-                                         "client request"));
-  if (lines.empty()) return Status::ParseError("empty client request");
-  const auto [magic, kind_name] = SplitWireKeyValue(lines[0]);
-  if (magic != kMagic) {
-    return Status::ParseError("bad protocol magic: " + magic);
-  }
+  FUSION_ASSIGN_OR_RETURN(FrameReader frame,
+                          FrameReader::Open(text, kRequestFormat));
   ClientRequest request;
-  FUSION_ASSIGN_OR_RETURN(request.kind, ParseRequestKind(kind_name));
-  bool terminated = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    if (lines[i] == "end") {
-      terminated = true;
-      break;
-    }
-    const auto [key, value] = SplitWireKeyValue(lines[i]);
+  FUSION_ASSIGN_OR_RETURN(
+      request.kind, ParseWireVerb(kVerbs, frame.head(), kRequestFormat.what));
+  std::string_view key, value;
+  while (frame.Next(&key, &value)) {
     if (key == "client") {
       FUSION_ASSIGN_OR_RETURN(request.client_id, UnescapeWireText(value));
     } else if (key == "sql") {
       FUSION_ASSIGN_OR_RETURN(request.sql, UnescapeWireText(value));
     } else if (key == "ticket") {
-      FUSION_ASSIGN_OR_RETURN(request.ticket, ParseTicket(value));
+      FUSION_ASSIGN_OR_RETURN(request.ticket, ParseWireU64(key, value));
     } else if (key == "wait") {
       request.wait = value != "no";
     } else if (key == "explain") {
       request.explain = value == "yes";
     } else if (key == "features") {
-      request.features = SplitFeatures(value);
+      request.features = SplitWireCsv(value);
     } else if (key == "trace-id") {
-      FUSION_ASSIGN_OR_RETURN(request.trace_id, ParseU64(key, value));
+      FUSION_ASSIGN_OR_RETURN(request.trace_id, ParseWireU64(key, value));
     } else if (key == "parent-span") {
-      FUSION_ASSIGN_OR_RETURN(request.parent_span, ParseU64(key, value));
+      FUSION_ASSIGN_OR_RETURN(request.parent_span, ParseWireU64(key, value));
     } else if (key == "request-id") {
-      FUSION_ASSIGN_OR_RETURN(request.request_id, ParseU64(key, value));
+      FUSION_ASSIGN_OR_RETURN(request.request_id, ParseWireU64(key, value));
     } else if (key == "source") {
       FUSION_ASSIGN_OR_RETURN(request.source, UnescapeWireText(value));
     } else if (key == "version") {
-      FUSION_ASSIGN_OR_RETURN(request.version, ParseU64(key, value));
+      FUSION_ASSIGN_OR_RETURN(request.version, ParseWireU64(key, value));
     }
     // Unknown fields are ignored: a newer peer may send fields this build
     // does not know, and must be able to do so without negotiating first
     // (negotiation itself rides on HELLO fields).
   }
-  if (!terminated) return Status::ParseError("client request missing 'end'");
+  FUSION_RETURN_IF_ERROR(frame.status());
   return request;
 }
 
 std::string SerializeClientResponse(const ClientResponse& response) {
-  std::string out = std::string(kMagic) + " " +
-                    (response.ok ? "OK" : "ERROR") + "\n";
-  if (!response.ok) {
-    out += StrFormat("error %s %s\n", StatusCodeName(response.error_code),
-                     EscapeWireText(response.error_message).c_str());
-  }
-  if (!response.server.empty()) {
-    out += "server " + EscapeWireText(response.server) + "\n";
-  }
-  if (response.ticket != 0) {
-    out += "ticket " + std::to_string(response.ticket) + "\n";
-  }
-  if (!response.state.empty()) out += "state " + response.state + "\n";
-  for (const Value& v : response.items) {
-    out += "item " + SerializeValue(v) + "\n";
-  }
+  FrameWriter frame(kMagic, response.ok ? "OK" : "ERROR");
+  if (!response.ok) frame.Error(response.error_code, response.error_message);
+  if (!response.server.empty()) frame.Text("server", response.server);
+  if (response.ticket != 0) frame.U64("ticket", response.ticket);
+  if (!response.state.empty()) frame.Field("state", response.state);
+  for (const Value& v : response.items) frame.Item("item", v);
   if (response.source_queries > 0 || !response.items.empty() ||
       response.cost > 0.0) {
-    out += StrFormat("cost %.17g\n", response.cost);
-    out += StrFormat("source-queries %zu\n", response.source_queries);
-    out += StrFormat("cache-hits %zu\n", response.cache_hits);
-    out += StrFormat("cache-misses %zu\n", response.cache_misses);
-    out += StrFormat("items-sent %zu\n", response.items_sent);
-    out += StrFormat("items-received %zu\n", response.items_received);
+    frame.Double("cost", response.cost)
+        .U64("source-queries", response.source_queries)
+        .U64("cache-hits", response.cache_hits)
+        .U64("cache-misses", response.cache_misses)
+        .U64("items-sent", response.items_sent)
+        .U64("items-received", response.items_received);
   }
   if (response.cache_containment_hits > 0) {
-    out += StrFormat("cache-containment %zu\n",
-                     response.cache_containment_hits);
+    frame.U64("cache-containment", response.cache_containment_hits);
   }
   if (response.calibration_cost > 0.0) {
-    out += StrFormat("calibration-cost %.17g\n", response.calibration_cost);
+    frame.Double("calibration-cost", response.calibration_cost);
   }
-  if (!response.complete) out += "complete no\n";
-  if (!response.features.empty()) {
-    out += "features " + JoinFeatures(response.features) + "\n";
-  }
+  if (!response.complete) frame.Field("complete", "no");
+  if (!response.features.empty()) frame.Csv("features", response.features);
   for (const std::string& line : response.stats_lines) {
-    out += "stats " + EscapeWireText(line) + "\n";
+    frame.Text("stats", line);
   }
   for (const std::string& line : response.explain_lines) {
-    out += "explain " + EscapeWireText(line) + "\n";
+    frame.Text("explain", line);
   }
-  out += "end\n";
-  return out;
+  return frame.Finish();
 }
 
 Result<ClientResponse> ParseClientResponse(const std::string& text) {
-  FUSION_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
-                          SplitWireLines(text, kMaxClientProtocolLineBytes,
-                                         "client response"));
-  if (lines.empty()) return Status::ParseError("empty client response");
-  const auto [magic, status_name] = SplitWireKeyValue(lines[0]);
-  if (magic != kMagic) {
-    return Status::ParseError("bad protocol magic: " + magic);
-  }
+  FUSION_ASSIGN_OR_RETURN(FrameReader frame,
+                          FrameReader::Open(text, kResponseFormat));
   ClientResponse response;
-  if (status_name == "OK") {
-    response.ok = true;
-  } else if (status_name == "ERROR") {
-    response.ok = false;
-  } else {
-    return Status::ParseError("bad client response status: " + status_name);
-  }
-  bool terminated = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    if (lines[i] == "end") {
-      terminated = true;
-      break;
-    }
-    const auto [key, value] = SplitWireKeyValue(lines[i]);
+  FUSION_ASSIGN_OR_RETURN(response.ok,
+                          ParseWireOk(frame.head(), kResponseFormat.what));
+  std::string_view key, value;
+  while (frame.Next(&key, &value)) {
     if (key == "error") {
-      const auto [code_text, message] = SplitWireKeyValue(value);
-      FUSION_ASSIGN_OR_RETURN(response.error_code,
-                              ParseWireStatusCode(code_text));
-      FUSION_ASSIGN_OR_RETURN(response.error_message,
-                              UnescapeWireText(message));
+      FUSION_RETURN_IF_ERROR(ParseWireError(value, &response.error_code,
+                                            &response.error_message));
     } else if (key == "server") {
       FUSION_ASSIGN_OR_RETURN(response.server, UnescapeWireText(value));
     } else if (key == "ticket") {
-      FUSION_ASSIGN_OR_RETURN(response.ticket, ParseTicket(value));
+      FUSION_ASSIGN_OR_RETURN(response.ticket, ParseWireU64(key, value));
     } else if (key == "state") {
       response.state = value;
     } else if (key == "item") {
-      FUSION_ASSIGN_OR_RETURN(Value v, ParseSerializedValue(value));
+      FUSION_ASSIGN_OR_RETURN(Value v, ParseWireValue(value));
       response.items.push_back(std::move(v));
     } else if (key == "cost") {
-      response.cost = std::atof(value.c_str());
+      FUSION_ASSIGN_OR_RETURN(response.cost, ParseWireDouble(key, value));
     } else if (key == "source-queries") {
       FUSION_ASSIGN_OR_RETURN(response.source_queries,
-                              ParseCount(key, value));
+                              ParseWireCount(key, value));
     } else if (key == "cache-hits") {
-      FUSION_ASSIGN_OR_RETURN(response.cache_hits, ParseCount(key, value));
+      FUSION_ASSIGN_OR_RETURN(response.cache_hits, ParseWireCount(key, value));
     } else if (key == "cache-misses") {
-      FUSION_ASSIGN_OR_RETURN(response.cache_misses, ParseCount(key, value));
+      FUSION_ASSIGN_OR_RETURN(response.cache_misses,
+                              ParseWireCount(key, value));
     } else if (key == "items-sent") {
-      FUSION_ASSIGN_OR_RETURN(response.items_sent, ParseCount(key, value));
+      FUSION_ASSIGN_OR_RETURN(response.items_sent, ParseWireCount(key, value));
     } else if (key == "items-received") {
-      FUSION_ASSIGN_OR_RETURN(response.items_received, ParseCount(key, value));
+      FUSION_ASSIGN_OR_RETURN(response.items_received,
+                              ParseWireCount(key, value));
     } else if (key == "cache-containment") {
       FUSION_ASSIGN_OR_RETURN(response.cache_containment_hits,
-                              ParseCount(key, value));
+                              ParseWireCount(key, value));
     } else if (key == "calibration-cost") {
-      response.calibration_cost = std::atof(value.c_str());
+      FUSION_ASSIGN_OR_RETURN(response.calibration_cost,
+                              ParseWireDouble(key, value));
     } else if (key == "complete") {
       response.complete = value != "no";
     } else if (key == "features") {
-      response.features = SplitFeatures(value);
+      response.features = SplitWireCsv(value);
     } else if (key == "stats") {
       FUSION_ASSIGN_OR_RETURN(std::string line, UnescapeWireText(value));
       response.stats_lines.push_back(std::move(line));
@@ -295,7 +181,7 @@ Result<ClientResponse> ParseClientResponse(const std::string& text) {
     }
     // Unknown fields are ignored (see ParseClientRequest).
   }
-  if (!terminated) return Status::ParseError("client response missing 'end'");
+  FUSION_RETURN_IF_ERROR(frame.status());
   return response;
 }
 

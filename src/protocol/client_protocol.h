@@ -147,6 +147,10 @@ struct ClientResponse {
 /// Longest line either FUSIONQ/1 parser accepts (64 KiB): longer lines are
 /// rejected with kParseError before any per-field work happens.
 inline constexpr size_t kMaxClientProtocolLineBytes = 64 * 1024;
+/// Longest unterminated frame a FUSIONQ/1 socket buffers before cutting
+/// the peer off with kParseError.
+inline constexpr size_t kMaxClientProtocolFrameBytes =
+    8 * kMaxClientProtocolLineBytes;
 
 /// The feature tokens this build of the protocol speaks, advertised on
 /// HELLO in both directions: FeatureSet::All().Names() from the registry

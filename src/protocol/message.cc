@@ -1,291 +1,109 @@
 #include "protocol/message.h"
 
-#include <cstdlib>
-
 #include "common/str_util.h"
 
 namespace fusion {
 namespace {
 
 constexpr char kMagic[] = "FUSIONP/1";
+constexpr FrameFormat kRequestFormat{kMagic, kMaxSourceProtocolLineBytes,
+                                     "source request"};
+constexpr FrameFormat kResponseFormat{kMagic, kMaxSourceProtocolLineBytes,
+                                      "source response"};
 
-const char* RequestKindName(SourceRequest::Kind kind) {
-  switch (kind) {
-    case SourceRequest::Kind::kHello:
-      return "HELLO";
-    case SourceRequest::Kind::kSelect:
-      return "SELECT";
-    case SourceRequest::Kind::kSemiJoin:
-      return "SEMIJOIN";
-    case SourceRequest::Kind::kLoad:
-      return "LOAD";
-    case SourceRequest::Kind::kFetch:
-      return "FETCH";
-  }
-  return "?";
-}
-
-Result<SourceRequest::Kind> ParseRequestKind(const std::string& name) {
-  if (name == "HELLO") return SourceRequest::Kind::kHello;
-  if (name == "SELECT") return SourceRequest::Kind::kSelect;
-  if (name == "SEMIJOIN") return SourceRequest::Kind::kSemiJoin;
-  if (name == "LOAD") return SourceRequest::Kind::kLoad;
-  if (name == "FETCH") return SourceRequest::Kind::kFetch;
-  return Status::ParseError("unknown request kind: " + name);
-}
+constexpr WireVerb<SourceRequest::Kind> kVerbs[] = {
+    {SourceRequest::Kind::kHello, "HELLO"},
+    {SourceRequest::Kind::kSelect, "SELECT"},
+    {SourceRequest::Kind::kSemiJoin, "SEMIJOIN"},
+    {SourceRequest::Kind::kLoad, "LOAD"},
+    {SourceRequest::Kind::kFetch, "FETCH"},
+};
 
 }  // namespace
 
-std::string EscapeWireText(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-Result<std::string> UnescapeWireText(const std::string& s) {
-  std::string out;
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\') {
-      out += s[i];
-      continue;
-    }
-    if (i + 1 >= s.size()) return Status::ParseError("dangling escape");
-    ++i;
-    if (s[i] == 'n') {
-      out += '\n';
-    } else if (s[i] == '\\') {
-      out += '\\';
-    } else {
-      return Status::ParseError("bad escape sequence");
-    }
-  }
-  return out;
-}
-
-std::pair<std::string, std::string> SplitWireKeyValue(const std::string& line) {
-  const size_t space = line.find(' ');
-  if (space == std::string::npos) return {line, ""};
-  return {line.substr(0, space), line.substr(space + 1)};
-}
-
-Result<std::vector<std::string>> SplitWireLines(const std::string& text,
-                                                size_t max_line_bytes,
-                                                const char* what) {
-  std::vector<std::string> lines = StrSplit(text, '\n');
-  for (const std::string& line : lines) {
-    if (line.size() > max_line_bytes) {
-      return Status::ParseError(
-          StrFormat("oversized %s line (%zu bytes; limit %zu)", what,
-                    line.size(), max_line_bytes));
-    }
-  }
-  return lines;
-}
-
-Result<StatusCode> ParseWireStatusCode(const std::string& text) {
-  if (!text.empty() && text.find_first_not_of("0123456789") ==
-                           std::string::npos) {
-    const int raw = std::atoi(text.c_str());
-    const size_t count = sizeof(kAllStatusCodes) / sizeof(kAllStatusCodes[0]);
-    if (raw < 0 || static_cast<size_t>(raw) >= count) {
-      return Status::ParseError("status code integer out of range: " + text);
-    }
-    return static_cast<StatusCode>(raw);
-  }
-  return StatusCodeFromName(text);
-}
-
-std::string SerializeValue(const Value& value) {
-  switch (value.type()) {
-    case ValueType::kNull:
-      return "null";
-    case ValueType::kInt64:
-      return "i:" + std::to_string(value.int64());
-    case ValueType::kDouble:
-      return "d:" + StrFormat("%.17g", value.dbl());
-    case ValueType::kString:
-      return "s:" + EscapeWireText(value.str());
-  }
-  return "null";
-}
-
-Result<Value> ParseSerializedValue(const std::string& text) {
-  if (text == "null") return Value::Null();
-  if (text.size() < 2 || text[1] != ':') {
-    return Status::ParseError("bad serialized value: " + text);
-  }
-  const std::string payload = text.substr(2);
-  switch (text[0]) {
-    case 'i': {
-      char* end = nullptr;
-      const long long v = std::strtoll(payload.c_str(), &end, 10);
-      if (end != payload.c_str() + payload.size() || payload.empty()) {
-        return Status::ParseError("bad int64 payload: " + payload);
-      }
-      return Value(static_cast<int64_t>(v));
-    }
-    case 'd': {
-      char* end = nullptr;
-      const double v = std::strtod(payload.c_str(), &end);
-      if (end != payload.c_str() + payload.size() || payload.empty()) {
-        return Status::ParseError("bad double payload: " + payload);
-      }
-      return Value(v);
-    }
-    case 's': {
-      FUSION_ASSIGN_OR_RETURN(std::string unescaped, UnescapeWireText(payload));
-      return Value(std::move(unescaped));
-    }
-    default:
-      return Status::ParseError("unknown value tag: " + text);
-  }
-}
-
 std::string SerializeRequest(const SourceRequest& request) {
-  std::string out = std::string(kMagic) + " " + RequestKindName(request.kind) +
-                    "\n";
+  FrameWriter frame(kMagic, WireVerbName(kVerbs, request.kind));
   if (!request.merge_attribute.empty()) {
-    out += "merge " + request.merge_attribute + "\n";
+    frame.Field("merge", request.merge_attribute);
   }
   if (!request.condition_text.empty()) {
-    out += "cond " + EscapeWireText(request.condition_text) + "\n";
+    frame.Text("cond", request.condition_text);
   }
-  for (const Value& v : request.bindings) {
-    out += "bind " + SerializeValue(v) + "\n";
-  }
+  for (const Value& v : request.bindings) frame.Item("bind", v);
   if (request.trace_id != 0) {
-    out += StrFormat("trace %llu %llu\n",
-                     static_cast<unsigned long long>(request.trace_id),
-                     static_cast<unsigned long long>(request.parent_span));
+    frame.Field("trace", std::to_string(request.trace_id) + " " +
+                             std::to_string(request.parent_span));
   }
-  out += "end\n";
-  return out;
+  return frame.Finish();
 }
 
 Result<SourceRequest> ParseRequest(const std::string& text) {
-  FUSION_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
-                          SplitWireLines(text, kMaxSourceProtocolLineBytes,
-                                         "source request"));
-  if (lines.empty()) return Status::ParseError("empty request");
-  const auto [magic, kind_name] = SplitWireKeyValue(lines[0]);
-  if (magic != kMagic) {
-    return Status::ParseError("bad protocol magic: " + magic);
-  }
+  FUSION_ASSIGN_OR_RETURN(FrameReader frame,
+                          FrameReader::Open(text, kRequestFormat));
   SourceRequest request;
-  FUSION_ASSIGN_OR_RETURN(request.kind, ParseRequestKind(kind_name));
-  bool terminated = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    if (lines[i] == "end") {
-      terminated = true;
-      break;
-    }
-    const auto [key, value] = SplitWireKeyValue(lines[i]);
+  FUSION_ASSIGN_OR_RETURN(
+      request.kind, ParseWireVerb(kVerbs, frame.head(), kRequestFormat.what));
+  std::string_view key, value;
+  while (frame.Next(&key, &value)) {
     if (key == "merge") {
       request.merge_attribute = value;
     } else if (key == "cond") {
       FUSION_ASSIGN_OR_RETURN(request.condition_text, UnescapeWireText(value));
     } else if (key == "bind") {
-      FUSION_ASSIGN_OR_RETURN(Value v, ParseSerializedValue(value));
+      FUSION_ASSIGN_OR_RETURN(Value v, ParseWireValue(value));
       request.bindings.push_back(std::move(v));
     } else if (key == "trace") {
-      const auto [trace_text, span_text] = SplitWireKeyValue(value);
-      if (trace_text.empty() ||
-          trace_text.find_first_not_of("0123456789") != std::string::npos) {
-        return Status::ParseError("bad trace line: " + value);
-      }
-      request.trace_id = std::strtoull(trace_text.c_str(), nullptr, 10);
-      if (!span_text.empty()) {
-        if (span_text.find_first_not_of("0123456789") != std::string::npos) {
-          return Status::ParseError("bad trace line: " + value);
-        }
-        request.parent_span = std::strtoull(span_text.c_str(), nullptr, 10);
+      // `trace <trace-id> [<parent-span>]`.
+      const size_t space = value.find(' ');
+      FUSION_ASSIGN_OR_RETURN(request.trace_id,
+                              ParseWireU64(key, value.substr(0, space)));
+      if (space != std::string_view::npos) {
+        FUSION_ASSIGN_OR_RETURN(
+            request.parent_span,
+            ParseWireU64("parent span", value.substr(space + 1)));
       }
     }
     // Unknown fields are ignored for forward compatibility: peers act on
     // optional capabilities only after HELLO `features` negotiation.
   }
-  if (!terminated) return Status::ParseError("request missing 'end'");
+  FUSION_RETURN_IF_ERROR(frame.status());
   return request;
 }
 
 std::string SerializeResponse(const SourceResponse& response) {
-  std::string out = std::string(kMagic) + " " +
-                    (response.ok ? "OK" : "ERROR") + "\n";
-  if (!response.ok) {
-    // Codes travel by name (the shared StatusCode taxonomy), so a reader of
-    // the wire sees "error Unavailable ..." rather than a magic number.
-    out += StrFormat("error %s %s\n", StatusCodeName(response.error_code),
-                     EscapeWireText(response.error_message).c_str());
-  }
-  for (const Value& v : response.items) {
-    out += "item " + SerializeValue(v) + "\n";
-  }
+  FrameWriter frame(kMagic, response.ok ? "OK" : "ERROR");
+  if (!response.ok) frame.Error(response.error_code, response.error_message);
+  for (const Value& v : response.items) frame.Item("item", v);
   for (const std::string& line : response.relation_lines) {
-    out += "relation-line " + EscapeWireText(line) + "\n";
+    frame.Text("relation-line", line);
   }
-  if (!response.name.empty()) out += "name " + response.name + "\n";
+  if (!response.name.empty()) frame.Field("name", response.name);
   if (!response.semijoin_support.empty()) {
-    out += "semijoin " + response.semijoin_support + "\n";
+    frame.Field("semijoin", response.semijoin_support);
   }
-  out += std::string("load ") + (response.supports_load ? "yes" : "no") + "\n";
-  if (!response.features.empty()) {
-    std::string joined;
-    for (const std::string& f : response.features) {
-      if (!joined.empty()) joined += ",";
-      joined += f;
-    }
-    out += "features " + joined + "\n";
-  }
+  frame.Field("load", response.supports_load ? "yes" : "no");
+  if (!response.features.empty()) frame.Csv("features", response.features);
   for (const ChargeSummary& c : response.charges) {
-    out += StrFormat("charge %s %zu %zu %zu %.17g\n", c.kind.c_str(),
-                     c.items_sent, c.items_received, c.tuples_scanned, c.cost);
+    frame.Field("charge",
+                StrFormat("%s %zu %zu %zu %.17g", c.kind.c_str(), c.items_sent,
+                          c.items_received, c.tuples_scanned, c.cost));
   }
-  out += "end\n";
-  return out;
+  return frame.Finish();
 }
 
 Result<SourceResponse> ParseResponse(const std::string& text) {
-  FUSION_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
-                          SplitWireLines(text, kMaxSourceProtocolLineBytes,
-                                         "source response"));
-  if (lines.empty()) return Status::ParseError("empty response");
-  const auto [magic, status_name] = SplitWireKeyValue(lines[0]);
-  if (magic != kMagic) {
-    return Status::ParseError("bad protocol magic: " + magic);
-  }
+  FUSION_ASSIGN_OR_RETURN(FrameReader frame,
+                          FrameReader::Open(text, kResponseFormat));
   SourceResponse response;
-  if (status_name == "OK") {
-    response.ok = true;
-  } else if (status_name == "ERROR") {
-    response.ok = false;
-  } else {
-    return Status::ParseError("bad response status: " + status_name);
-  }
-  bool terminated = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    if (lines[i] == "end") {
-      terminated = true;
-      break;
-    }
-    const auto [key, value] = SplitWireKeyValue(lines[i]);
+  FUSION_ASSIGN_OR_RETURN(response.ok,
+                          ParseWireOk(frame.head(), kResponseFormat.what));
+  std::string_view key, value;
+  while (frame.Next(&key, &value)) {
     if (key == "error") {
-      const auto [code_text, message] = SplitWireKeyValue(value);
-      FUSION_ASSIGN_OR_RETURN(response.error_code,
-                              ParseWireStatusCode(code_text));
-      FUSION_ASSIGN_OR_RETURN(response.error_message,
-                              UnescapeWireText(message));
+      FUSION_RETURN_IF_ERROR(ParseWireError(value, &response.error_code,
+                                            &response.error_message));
     } else if (key == "item") {
-      FUSION_ASSIGN_OR_RETURN(Value v, ParseSerializedValue(value));
+      FUSION_ASSIGN_OR_RETURN(Value v, ParseWireValue(value));
       response.items.push_back(std::move(v));
     } else if (key == "relation-line") {
       FUSION_ASSIGN_OR_RETURN(std::string line, UnescapeWireText(value));
@@ -297,25 +115,26 @@ Result<SourceResponse> ParseResponse(const std::string& text) {
     } else if (key == "load") {
       response.supports_load = value == "yes";
     } else if (key == "features") {
-      for (const std::string& f : StrSplit(value, ',')) {
-        if (!f.empty()) response.features.push_back(f);
-      }
+      response.features = SplitWireCsv(value);
     } else if (key == "charge") {
-      const std::vector<std::string> parts = StrSplit(value, ' ');
+      // `charge <kind> <sent> <recv> <scanned> <cost>`.
+      const std::vector<std::string> parts = StrSplit(std::string(value), ' ');
       if (parts.size() != 5) {
-        return Status::ParseError("bad charge line: " + value);
+        return Status::ParseError("bad charge line: " + std::string(value));
       }
       ChargeSummary c;
       c.kind = parts[0];
-      c.items_sent = static_cast<size_t>(std::atoll(parts[1].c_str()));
-      c.items_received = static_cast<size_t>(std::atoll(parts[2].c_str()));
-      c.tuples_scanned = static_cast<size_t>(std::atoll(parts[3].c_str()));
-      c.cost = std::atof(parts[4].c_str());
+      FUSION_ASSIGN_OR_RETURN(c.items_sent, ParseWireCount("sent", parts[1]));
+      FUSION_ASSIGN_OR_RETURN(c.items_received,
+                              ParseWireCount("recv", parts[2]));
+      FUSION_ASSIGN_OR_RETURN(c.tuples_scanned,
+                              ParseWireCount("scanned", parts[3]));
+      FUSION_ASSIGN_OR_RETURN(c.cost, ParseWireDouble("cost", parts[4]));
       response.charges.push_back(std::move(c));
     }
     // Unknown fields are ignored (see ParseRequest).
   }
-  if (!terminated) return Status::ParseError("response missing 'end'");
+  FUSION_RETURN_IF_ERROR(frame.status());
   return response;
 }
 

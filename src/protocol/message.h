@@ -6,6 +6,7 @@
 
 #include "common/status.h"
 #include "common/value.h"
+#include "protocol/wire.h"
 
 namespace fusion {
 
@@ -78,35 +79,16 @@ struct SourceResponse {
   std::vector<ChargeSummary> charges;
 };
 
-/// Serializes a Value for a protocol line: `null`, `i:<n>`, `d:<repr>`, or
-/// `s:<escaped>` with backslash escapes for newline/backslash.
-std::string SerializeValue(const Value& value);
-Result<Value> ParseSerializedValue(const std::string& text);
-
-/// Shared line-format helpers, used identically by both dialects (FUSIONP/1
-/// to wrappers, FUSIONQ/1 to clients) so their wire idioms cannot drift.
-/// Backslash escapes for newline/backslash, one "key rest-of-line" field per
-/// line, and error codes travelling by StatusCodeName.
-std::string EscapeWireText(const std::string& text);
-Result<std::string> UnescapeWireText(const std::string& text);
-/// Splits "key rest-of-line" on the first space ({line, ""} when none).
-std::pair<std::string, std::string> SplitWireKeyValue(const std::string& line);
-/// Splits a message into lines, rejecting any line longer than
-/// `max_line_bytes` with a kParseError naming `what` — each dialect passes
-/// its own cap (kMaxSourceProtocolLineBytes, kMaxClientProtocolLineBytes).
-Result<std::vector<std::string>> SplitWireLines(const std::string& text,
-                                                size_t max_line_bytes,
-                                                const char* what);
-/// Decodes an error-line status code: a StatusCodeName, or (for
-/// compatibility with pre-taxonomy peers) a bare enum integer.
-Result<StatusCode> ParseWireStatusCode(const std::string& text);
-
 /// Longest line either FUSIONP/1 parser accepts (256 KiB — relation CSV
 /// lines are wide, but not unbounded): longer lines are rejected with a
 /// clean kParseError before any per-field work, mirroring FUSIONQ/1's
 /// kMaxClientProtocolLineBytes so a malicious or corrupted peer cannot
 /// drive an allocation storm through either dialect.
 inline constexpr size_t kMaxSourceProtocolLineBytes = 256 * 1024;
+/// Longest unterminated frame a FUSIONP/1 socket buffers (64 MiB): far
+/// above any legitimate relation a source ships, low enough that a
+/// garbage-spewing peer is cut off cleanly.
+inline constexpr size_t kMaxSourceProtocolFrameBytes = 64 * 1024 * 1024;
 
 std::string SerializeRequest(const SourceRequest& request);
 Result<SourceRequest> ParseRequest(const std::string& text);

@@ -98,11 +98,17 @@ class RemoteSource : public SourceWrapper {
   Status AdoptHello(const SourceResponse& response);
 
   /// One send/receive over the TCP connection, redialing across replicas
-  /// on transport failure. Requires transport_mu_ held.
+  /// on transport failure (RedialingExchange). Requires transport_mu_ held.
   Result<std::string> TcpExchangeLocked(const std::string& request_text);
+  /// Tries per exchange: the failover policy's, but at least one per
+  /// replica.
+  int TcpAttemptsLocked() const;
   /// Dials endpoints_[active_] and validates it via HELLO (same source
   /// name as the first connect). Requires transport_mu_ held.
   Status TcpDialActiveLocked();
+  /// TcpDialActiveLocked, rotating to the next replica on failure (which
+  /// comes back as kUnavailable). Requires transport_mu_ held.
+  Status TcpDialNextLocked();
   /// Rotates active_ to the next replica (counts a failover when there is
   /// more than one). Requires transport_mu_ held.
   void TcpAdvanceReplicaLocked();

@@ -46,7 +46,6 @@ Result<sockaddr_in> ResolveV4(const std::string& host, int port) {
 MessageSocket::MessageSocket(MessageSocket&& other) noexcept
     : fd_(other.fd_),
       buffer_(std::move(other.buffer_)),
-      stall_deadline_seconds_(other.stall_deadline_seconds_),
       receive_limit_(other.receive_limit_) {
   other.fd_ = -1;
 }
@@ -56,7 +55,6 @@ MessageSocket& MessageSocket::operator=(MessageSocket&& other) noexcept {
     Close();
     fd_ = other.fd_;
     buffer_ = std::move(other.buffer_);
-    stall_deadline_seconds_ = other.stall_deadline_seconds_;
     receive_limit_ = other.receive_limit_;
     other.fd_ = -1;
   }
@@ -74,7 +72,6 @@ Status MessageSocket::SetStallDeadline(double seconds) {
   if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
     return Errno("setsockopt(SO_RCVTIMEO)");
   }
-  stall_deadline_seconds_ = seconds;
   return Status::Ok();
 }
 

@@ -64,7 +64,6 @@ class MessageSocket {
  private:
   int fd_ = -1;
   std::string buffer_;  // bytes received past the last returned message
-  double stall_deadline_seconds_ = 0.0;
   size_t receive_limit_ = 0;
 };
 

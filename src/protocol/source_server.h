@@ -2,15 +2,11 @@
 #define FUSION_PROTOCOL_SOURCE_SERVER_H_
 
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "protocol/chaos.h"
 #include "protocol/message.h"
-#include "protocol/socket.h"
+#include "protocol/tcp_server.h"
 #include "source/source_wrapper.h"
 
 namespace fusion {
@@ -41,17 +37,14 @@ class SourceServer {
 /// Serves one SourceServer over TCP: the process side of a networked
 /// FUSIONP/1 deployment (and of replica failover — run two of these over
 /// equivalent wrappers and hand both endpoints to RemoteSource::ConnectTcp).
-/// One acceptor thread plus one thread per connection, each running the
-/// receive → Handle → send loop until the peer closes.
+/// A TcpServer whose handler is SourceServer::Handle, with the FUSIONP/1
+/// frame cap.
 ///
 /// Faults: Options::chaos wires a seeded ChaosPolicy into every connection
 /// (plus accept-time refusals), and Options::stall_deadline_seconds drops
 /// connections whose peer goes silent mid-frame — a stalled or byzantine
-/// mediator cannot pin a connection thread.
-///
-/// Start() binds (port 0 = ephemeral; see port()); Stop() — also run by the
-/// destructor — closes the listener, resets every live connection, and
-/// joins all threads. Tests "kill a replica" by calling Stop() mid-run.
+/// mediator cannot pin a connection thread. Tests "kill a replica" by
+/// calling Stop() mid-run.
 class TcpSourceServer {
  public:
   struct Options {
@@ -64,35 +57,20 @@ class TcpSourceServer {
   };
 
   TcpSourceServer(std::unique_ptr<SourceWrapper> impl, const Options& options);
-  ~TcpSourceServer() { Stop(); }
 
-  TcpSourceServer(const TcpSourceServer&) = delete;
-  TcpSourceServer& operator=(const TcpSourceServer&) = delete;
-
-  /// Binds and starts accepting. Fails (kUnavailable) if the port is taken.
-  Status Start();
+  /// Binds and starts accepting.
+  Status Start() { return tcp_.Start(); }
   /// Stops accepting, resets live connections, joins all threads.
   /// Idempotent.
-  void Stop();
+  void Stop() { tcp_.Stop(); }
 
   /// The bound port (valid after Start()).
-  int port() const { return listener_.port(); }
+  int port() const { return tcp_.port(); }
   const SourceWrapper& impl() const { return server_.impl(); }
 
  private:
-  void AcceptLoop();
-  void ServeConnection(ChaosSocket& socket);
-
   SourceServer server_;
-  Options options_;
-  std::shared_ptr<ChaosDecider> chaos_;  // null when chaos is disabled
-  TcpListener listener_;
-  std::thread acceptor_;
-
-  std::mutex mu_;
-  bool stopping_ = false;              // guarded by mu_
-  std::set<int> live_fds_;             // guarded by mu_
-  std::vector<std::thread> serving_;   // appended under mu_ by the acceptor
+  TcpServer tcp_;  // declared last: stops before server_ goes away
 };
 
 }  // namespace fusion

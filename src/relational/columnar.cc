@@ -190,24 +190,6 @@ inline int Cmp3(T a, T b) {
   return 0;
 }
 
-inline bool OpHolds(int c, CompareOp op) {
-  switch (op) {
-    case CompareOp::kEq:
-      return c == 0;
-    case CompareOp::kNe:
-      return c != 0;
-    case CompareOp::kLt:
-      return c < 0;
-    case CompareOp::kLe:
-      return c <= 0;
-    case CompareOp::kGt:
-      return c > 0;
-    case CompareOp::kGe:
-      return c >= 0;
-  }
-  return false;
-}
-
 /// Fills `out` from a per-row predicate, 64 rows per word.
 template <typename Pred>
 void FillPredicate(size_t rows, SelectionBitmap* out, Pred pred) {

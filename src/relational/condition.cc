@@ -101,22 +101,7 @@ Condition Condition::Not(Condition operand) {
 namespace {
 
 bool CompareSatisfied(const Value& lhs, CompareOp op, const Value& rhs) {
-  const int c = lhs.Compare(rhs);
-  switch (op) {
-    case CompareOp::kEq:
-      return c == 0;
-    case CompareOp::kNe:
-      return c != 0;
-    case CompareOp::kLt:
-      return c < 0;
-    case CompareOp::kLe:
-      return c <= 0;
-    case CompareOp::kGt:
-      return c > 0;
-    case CompareOp::kGe:
-      return c >= 0;
-  }
-  return false;
+  return OpHolds(lhs.Compare(rhs), op);
 }
 
 }  // namespace

@@ -31,6 +31,26 @@ struct Condition::Node {
   std::shared_ptr<const Node> right;
 };
 
+/// Whether a three-way comparison result `c` (<0, 0, >0) satisfies `op` —
+/// the one definition both evaluators use.
+inline bool OpHolds(int c, CompareOp op) {
+  switch (op) {
+    case CompareOp::kEq:
+      return c == 0;
+    case CompareOp::kNe:
+      return c != 0;
+    case CompareOp::kLt:
+      return c < 0;
+    case CompareOp::kLe:
+      return c <= 0;
+    case CompareOp::kGt:
+      return c > 0;
+    case CompareOp::kGe:
+      return c >= 0;
+  }
+  return false;
+}
+
 }  // namespace fusion
 
 #endif  // FUSION_RELATIONAL_CONDITION_INTERNAL_H_

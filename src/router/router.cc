@@ -1,17 +1,13 @@
 #include "router/router.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <thread>
 #include <utility>
 
-#include "common/rng.h"
 #include "common/str_util.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "protocol/exchange.h"
+#include "protocol/tcp_server.h"
 
 namespace fusion {
 namespace {
@@ -23,37 +19,13 @@ constexpr size_t kMaxIdleLinksPerShard = 8;
 /// cleared (stats restart cold; routing is stateless and unaffected).
 constexpr size_t kMaxWarmEntries = 64 * 1024;
 
-void SleepSeconds(double seconds) {
-  if (seconds <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
-
-/// Transport-level failures a redial (or a failover to the next-ranked
-/// shard) can cure; protocol-level failures are final.
-bool IsTransportError(const Status& status) {
-  return status.code() == StatusCode::kUnavailable ||
-         status.code() == StatusCode::kDeadlineExceeded ||
-         status.code() == StatusCode::kInternal;
-}
-
-bool IsHelloRetryable(const Status& status) {
-  return IsTransportError(status) ||
-         status.code() == StatusCode::kParseError;
-}
-
-/// Router-minted SUBMIT idempotency keys, for forwards whose client sent
-/// none: what makes the router's own redial-and-resend path replay-safe.
-/// Same construction as the client's minting (unique per process with
-/// overwhelming probability, deterministic under FUSION_SEED, never 0) but
-/// a distinct salt, so router- and client-minted ids cannot collide under
-/// one seed.
-uint64_t MintRouterRequestId() {
-  static std::atomic<uint64_t> counter{0};
-  const uint64_t n = counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  const uint64_t seed =
-      GlobalSeed(0x9e3779b97f4a7c15ull ^ static_cast<uint64_t>(getpid()));
-  const uint64_t id = MixSeed(MixSeed(seed, 0x50d7u), n);
-  return id == 0 ? 1 : id;
+/// Re-tickets a shard's response for the client: shard index in the low
+/// byte, so STATUS and CANCEL route straight back to the owning shard.
+ClientResponse Reticket(ClientResponse response, size_t shard) {
+  if (response.ticket != 0) {
+    response.ticket = (response.ticket << 8) | static_cast<uint64_t>(shard);
+  }
+  return response;
 }
 
 }  // namespace
@@ -106,21 +78,12 @@ Result<std::unique_ptr<QueryRouter::Link>> QueryRouter::AcquireLink(
       return Status::Unavailable("router is shutting down");
     }
   }
+  FUSION_ASSIGN_OR_RETURN(
+      HelloResult hello,
+      DialAndHello(shards_.shard(shard).endpoint, options_.server_name));
   auto link = std::make_unique<Link>();
-  FUSION_ASSIGN_OR_RETURN(link->socket,
-                          DialTcp(shards_.shard(shard).endpoint));
-  ClientRequest hello;
-  hello.kind = ClientRequest::Kind::kHello;
-  hello.client_id = options_.server_name;
-  hello.features = ClientProtocolFeatures();
-  FUSION_RETURN_IF_ERROR(link->socket.Send(SerializeClientRequest(hello)));
-  FUSION_ASSIGN_OR_RETURN(const std::string reply, link->socket.Receive());
-  FUSION_ASSIGN_OR_RETURN(const ClientResponse response,
-                          ParseClientResponse(reply));
-  if (!response.ok) {
-    return Status(response.error_code, "hello: " + response.error_message);
-  }
-  link->features = FeatureSet::FromNames(response.features);
+  link->socket = std::move(hello.socket);
+  link->features = FeatureSet::FromNames(hello.response.features);
   return link;
 }
 
@@ -136,59 +99,41 @@ void QueryRouter::ReleaseLink(size_t shard, std::unique_ptr<Link> link) {
 Result<ClientResponse> QueryRouter::Exchange(size_t shard,
                                              const ClientRequest& request) {
   const std::string wire = SerializeClientRequest(request);
-  const int attempts = std::max(1, options_.reconnect.max_attempts);
-  Status last_error = Status::Unavailable("never dialed");
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    if (attempt > 1) {
-      SleepSeconds(options_.reconnect.BackoffSeconds(0, attempt - 1));
-    }
-    Result<std::unique_ptr<Link>> link = AcquireLink(shard);
-    if (!link.ok()) {
-      last_error = link.status();
-      if (!IsHelloRetryable(last_error)) break;
-      continue;
-    }
-    // Resend safety mirrors the client's rule: a SUBMIT is only re-sent
-    // after its frame may have shipped when the shard's request-id dedup
-    // makes the replay free — which it always is for forwards, because
-    // the router mints a request-id when the client sent none.
-    const bool resend_safe =
-        request.kind != ClientRequest::Kind::kSubmit ||
-        (link.value()->features.Has(Feature::kIdempotency) &&
-         request.request_id != 0);
-    bool frame_sent = false;
-    const Status sent = link.value()->socket.Send(wire);
-    if (sent.ok()) {
-      frame_sent = true;
-      Result<std::string> reply = link.value()->socket.Receive();
-      if (reply.ok()) {
-        Result<ClientResponse> parsed = ParseClientResponse(reply.value());
-        if (!parsed.ok()) break;  // a whole-but-malformed frame is final
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          counters_.forward_bytes += wire.size();
-        }
-        static Counter& bytes = MetricsRegistry::Global().counter(
-            metrics::kRouterForwardBytes);
-        bytes.Increment(wire.size());
-        ReleaseLink(shard, std::move(link.value()));
-        return parsed;
-      }
-      // A failed Receive is a transport event (including the kParseError a
-      // torn frame produces) — the pooled connection may simply have gone
-      // stale since its last use; a fresh dial gets a whole frame.
-      last_error = reply.status();
-    } else {
-      last_error = sent;
-      if (!IsTransportError(sent)) break;
-    }
-    // Transport failure: this upstream connection is dead; do not pool it.
-    if (frame_sent && !resend_safe) break;
+  // Resend safety is the client's rule — and always holds for forwarded
+  // SUBMITs, because the router mints a request-id when the client sent
+  // none. A dead link is dropped, never pooled; a pooled one may simply
+  // have gone stale since its last use, and the redial gets a fresh one.
+  std::unique_ptr<Link> link;
+  ExchangeChannel channel;
+  channel.connect = [this, shard, &link]() -> Result<MessageSocket*> {
+    FUSION_ASSIGN_OR_RETURN(link, AcquireLink(shard));
+    return &link->socket;
+  };
+  channel.drop = [&link] { link.reset(); };
+  channel.resend_safe = [&link, &request] {
+    return ResendSafe(request, link->features);
+  };
+  const Result<std::string> reply =
+      RedialingExchange(wire, std::max(1, options_.reconnect.max_attempts),
+                        options_.reconnect, channel);
+  if (!reply.ok()) {
+    return Status(reply.status().code(),
+                  reply.status().message() + " (shard " +
+                      shards_.shard(shard).name + " at " +
+                      shards_.shard(shard).endpoint + ")");
   }
-  return Status(last_error.code(),
-                last_error.message() + " (shard " +
-                    shards_.shard(shard).name + " at " +
-                    shards_.shard(shard).endpoint + ")");
+  // A whole but malformed frame is final: kParseError, never a failover
+  // that would run the query a second time on the next shard.
+  FUSION_ASSIGN_OR_RETURN(ClientResponse response, ParseClientResponse(*reply));
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    counters_.forward_bytes += wire.size();
+  }
+  static Counter& bytes =
+      MetricsRegistry::Global().counter(metrics::kRouterForwardBytes);
+  bytes.Increment(wire.size());
+  ReleaseLink(shard, std::move(link));
+  return response;
 }
 
 ClientResponse QueryRouter::ForwardSubmit(const ClientRequest& request) {
@@ -199,7 +144,9 @@ ClientResponse QueryRouter::ForwardSubmit(const ClientRequest& request) {
   const std::string key = CanonicalQueryKey(request.sql);
   const std::vector<size_t> ranked = shards_.Ranked(key);
   ClientRequest forward = request;
-  if (forward.request_id == 0) forward.request_id = MintRouterRequestId();
+  if (forward.request_id == 0) {
+    forward.request_id = MintRequestId(kRouterRequestIdSalt);
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++counters_.forwards;
@@ -251,13 +198,7 @@ ClientResponse QueryRouter::ForwardSubmit(const ClientRequest& request) {
       if (last_shard_.size() >= kMaxWarmEntries) last_shard_.clear();
       last_shard_[key] = shard;
     }
-    // Re-ticket for the client: shard index in the low byte, so STATUS and
-    // CANCEL route straight back to the shard that owns the request.
-    if (response.value().ticket != 0) {
-      response.value().ticket =
-          (response.value().ticket << 8) | static_cast<uint64_t>(shard);
-    }
-    return std::move(response).value();
+    return Reticket(std::move(response).value(), shard);
   }
   return ClientErrorResponse(last_error);
 }
@@ -273,11 +214,7 @@ ClientResponse QueryRouter::ForwardTicketVerb(const ClientRequest& request) {
   forward.ticket = upstream_ticket;
   Result<ClientResponse> response = Exchange(shard, forward);
   if (!response.ok()) return ClientErrorResponse(response.status());
-  if (response.value().ticket != 0) {
-    response.value().ticket =
-        (response.value().ticket << 8) | static_cast<uint64_t>(shard);
-  }
-  return std::move(response).value();
+  return Reticket(std::move(response).value(), shard);
 }
 
 ClientResponse QueryRouter::FanOutInvalidate(const ClientRequest& request) {
@@ -354,18 +291,9 @@ std::string QueryRouter::Handle(const std::string& request_text) {
 }
 
 void QueryRouter::ServeConnection(ChaosSocket socket) {
-  if (socket.valid()) {
-    socket.inner().SetReceiveLimit(8 * kMaxClientProtocolLineBytes);
-    if (options_.stall_deadline_seconds > 0.0) {
-      (void)socket.inner().SetStallDeadline(options_.stall_deadline_seconds);
-    }
-  }
-  for (;;) {
-    const Result<std::string> message = socket.Receive();
-    if (!message.ok()) return;
-    const std::string response = Handle(message.value());
-    if (!socket.Send(response).ok()) return;
-  }
+  ServeFrames(socket, kMaxClientProtocolFrameBytes,
+              options_.stall_deadline_seconds,
+              [this](const std::string& request) { return Handle(request); });
 }
 
 QueryRouter::Counters QueryRouter::counters() const {

@@ -76,7 +76,7 @@ class QueryRouter {
   /// responses, never malformed text).
   std::string Handle(const std::string& request_text);
 
-  /// The per-connection serve loop fusionrd runs per accepted socket.
+  /// Serves one connection with ServeFrames over Handle.
   void ServeConnection(ChaosSocket socket);
 
   /// Closes every pooled upstream connection; new forwards redial.
@@ -122,10 +122,10 @@ class QueryRouter {
   ClientResponse ForwardTicketVerb(const ClientRequest& request);
   ClientResponse FanOutInvalidate(const ClientRequest& request);
 
-  /// One request/response against `shard`, with dial-retry under
-  /// Options::reconnect. Pools the connection on success; closes it on
-  /// failure. Transport-class failures surface to the caller (who may fail
-  /// over); protocol errors are final.
+  /// One request/response against `shard` (RedialingExchange under
+  /// Options::reconnect). Pools the link on success, drops it on failure.
+  /// Transport-class failures surface to the caller, who may fail over; a
+  /// malformed reply is a final kParseError.
   Result<ClientResponse> Exchange(size_t shard, const ClientRequest& request);
 
   Result<std::unique_ptr<Link>> AcquireLink(size_t shard);

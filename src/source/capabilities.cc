@@ -1,19 +1,34 @@
 #include "source/capabilities.h"
 
+#include <utility>
+
 #include "common/str_util.h"
 
 namespace fusion {
 
+namespace {
+
+constexpr std::pair<SemijoinSupport, const char*> kSemijoinNames[] = {
+    {SemijoinSupport::kNative, "native"},
+    {SemijoinSupport::kPassedBindingsOnly, "bindings"},
+    {SemijoinSupport::kUnsupported, "none"},
+};
+
+}  // namespace
+
 const char* SemijoinSupportName(SemijoinSupport s) {
-  switch (s) {
-    case SemijoinSupport::kNative:
-      return "native";
-    case SemijoinSupport::kPassedBindingsOnly:
-      return "passed-bindings";
-    case SemijoinSupport::kUnsupported:
-      return "unsupported";
+  for (const auto& [support, name] : kSemijoinNames) {
+    if (support == s) return name;
   }
-  return "?";
+  return "none";
+}
+
+Result<SemijoinSupport> ParseSemijoinSupport(std::string_view name) {
+  for (const auto& [support, token] : kSemijoinNames) {
+    if (EqualsIgnoreCase(name, token)) return support;
+  }
+  return Status::ParseError("semijoin must be native|bindings|none, got " +
+                            std::string(name));
 }
 
 std::string Capabilities::ToString() const {

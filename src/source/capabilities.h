@@ -2,6 +2,9 @@
 #define FUSION_SOURCE_CAPABILITIES_H_
 
 #include <string>
+#include <string_view>
+
+#include "common/status.h"
 
 namespace fusion {
 
@@ -18,7 +21,11 @@ enum class SemijoinSupport {
   kUnsupported,
 };
 
+/// The one token table for SemijoinSupport — catalog configs
+/// (`semijoin = ...`) and FUSIONP/1 HELLO responses both speak it:
+/// native | bindings | none. Parsing ignores case.
 const char* SemijoinSupportName(SemijoinSupport s);
+Result<SemijoinSupport> ParseSemijoinSupport(std::string_view name);
 
 /// What operations a source's wrapper exports.
 struct Capabilities {

@@ -16,8 +16,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +28,7 @@
 #include "protocol/remote_source.h"
 #include "protocol/socket.h"
 #include "protocol/source_server.h"
+#include "protocol/tcp_server.h"
 #include "source/simulated_source.h"
 #include "workload/dmv.h"
 #include "workload/synthetic.h"
@@ -88,7 +87,7 @@ std::unique_ptr<QueryService> Figure1Service(QueryService::Options options) {
                                         options);
 }
 
-/// The test-side twin of fusionqd's serve loop: one QueryService over TCP,
+/// The test-side twin of fusionqd: one QueryService over a TcpServer,
 /// optional chaos on every connection, plus a switch that loses exactly one
 /// SUBMIT response *after* executing it — the deterministic trigger for the
 /// idempotent-replay path (frame delivered, answer lost, client re-SUBMITs).
@@ -100,99 +99,36 @@ class TestDaemon {
   };
 
   TestDaemon(QueryService* service, const Options& options)
-      : service_(service), options_(options) {
-    if (options.chaos.enabled()) {
-      chaos_ = std::make_shared<ChaosDecider>(options.chaos);
-    }
-  }
-  ~TestDaemon() { Stop(); }
+      : server_(
+            [this, service, options](const std::string& frame) {
+              std::string response = service->Handle(frame);
+              if (options.drop_first_submit_response &&
+                  frame.rfind("FUSIONQ/1 SUBMIT", 0) == 0 &&
+                  !submit_response_dropped_.exchange(true)) {
+                // The query executed; its answer dies on the wire. The
+                // client must reconnect and replay via its request-id,
+                // never re-execute.
+                return std::string();
+              }
+              return response;
+            },
+            ServerOptions(options)) {}
 
-  Status Start() {
-    FUSION_ASSIGN_OR_RETURN(listener_, TcpListener::Bind("127.0.0.1", 0));
-    acceptor_ = std::thread([this] { AcceptLoop(); });
-    return Status::Ok();
-  }
-
-  int port() const { return listener_.port(); }
-
-  void Stop() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) return;
-      stopping_ = true;
-    }
-    listener_.Close();
-    if (acceptor_.joinable()) acceptor_.join();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
-    }
-    for (std::thread& thread : serving_) {
-      if (thread.joinable()) thread.join();
-    }
-    serving_.clear();
-  }
+  Status Start() { return server_.Start(); }
+  int port() const { return server_.port(); }
 
  private:
-  void AcceptLoop() {
-    while (true) {
-      auto accepted = listener_.Accept();
-      if (!accepted.ok()) return;
-      MessageSocket socket = std::move(accepted).value();
-      if (ChaosRefuseAccept(chaos_.get())) {
-        socket.Close();
-        continue;
-      }
-      (void)socket.SetStallDeadline(5.0);
-      const int fd = socket.fd();
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        socket.Close();
-        return;
-      }
-      live_fds_.insert(fd);
-      serving_.emplace_back(
-          [this, fd](ChaosSocket connection) {
-            Serve(connection);
-            // Deregister before closing so Stop() can never shutdown(2) a
-            // recycled fd number.
-            {
-              std::lock_guard<std::mutex> inner(mu_);
-              live_fds_.erase(fd);
-            }
-            connection.Close();
-          },
-          ChaosSocket(std::move(socket), chaos_));
+  static TcpServer::Options ServerOptions(const Options& options) {
+    TcpServer::Options server;
+    server.stall_deadline_seconds = 5.0;
+    if (options.chaos.enabled()) {
+      server.chaos = std::make_shared<ChaosDecider>(options.chaos);
     }
+    return server;
   }
 
-  void Serve(ChaosSocket& socket) {
-    while (true) {
-      auto frame = socket.Receive();
-      if (!frame.ok()) return;
-      const std::string response = service_->Handle(frame.value());
-      if (options_.drop_first_submit_response &&
-          frame.value().rfind("FUSIONQ/1 SUBMIT", 0) == 0 &&
-          !submit_response_dropped_.exchange(true)) {
-        // The query executed; its answer dies on the wire. The client must
-        // reconnect and replay via its request-id, never re-execute.
-        return;
-      }
-      if (!socket.Send(response).ok()) return;
-    }
-  }
-
-  QueryService* service_;
-  Options options_;
-  std::shared_ptr<ChaosDecider> chaos_;  // null when chaos is disabled
-  TcpListener listener_;
-  std::thread acceptor_;
   std::atomic<bool> submit_response_dropped_{false};
-
-  std::mutex mu_;
-  bool stopping_ = false;
-  std::set<int> live_fds_;
-  std::vector<std::thread> serving_;
+  TcpServer server_;  // declared last: stops before the flag goes away
 };
 
 // ---------------------------------------------------------------------------

@@ -359,6 +359,16 @@ TEST(ClientProtocolTest, MalformedTextIsAParseError) {
   EXPECT_FALSE(ParseClientRequest("HTTP/1.1 GET /\nend\n").ok());
   EXPECT_FALSE(ParseClientRequest("FUSIONQ/1 SUBMIT\n").ok());  // no end
   EXPECT_FALSE(ParseClientResponse("FUSIONQ/1 MAYBE\nend\n").ok());
+  // Numbers are strict: junk and overflow are parse errors, never 0 or a
+  // clamped 2^64-1.
+  EXPECT_FALSE(ParseClientResponse("FUSIONQ/1 OK\ncost lots\nend\n").ok());
+  EXPECT_FALSE(
+      ParseClientResponse("FUSIONQ/1 OK\nticket 99999999999999999999999\nend\n")
+          .ok());
+  EXPECT_FALSE(
+      ParseClientResponse("FUSIONQ/1 OK\ncalibration-cost 1.5x\nend\n").ok());
+  EXPECT_FALSE(
+      ParseClientRequest("FUSIONQ/1 SUBMIT\nrequest-id -1\nend\n").ok());
 }
 
 TEST(ClientProtocolTest, ObservabilityFieldsRoundTrip) {

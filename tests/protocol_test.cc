@@ -4,7 +4,10 @@
 // source is called directly or across the serialized boundary.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <memory>
+#include <thread>
 
 #include "cost/oracle_cost_model.h"
 #include "exec/executor.h"
@@ -12,6 +15,7 @@
 #include "protocol/message.h"
 #include "protocol/remote_source.h"
 #include "protocol/source_server.h"
+#include "protocol/tcp_server.h"
 #include "relational/reference_evaluator.h"
 #include "source/simulated_source.h"
 #include "workload/dmv.h"
@@ -104,6 +108,15 @@ TEST(ProtocolMessageTest, RejectsMalformedFrames) {
   EXPECT_FALSE(ParseResponse("FUSIONP/1 OK\ncharge sq 1\nend\n").ok());
   // Malformed values of *known* fields still fail...
   EXPECT_FALSE(ParseRequest("FUSIONP/1 SELECT\ntrace x y\nend\n").ok());
+  // Metering numbers are strict: no junk, no sign, no overflow.
+  EXPECT_FALSE(
+      ParseResponse("FUSIONP/1 OK\ncharge sq x 7y -3 cheap\nend\n").ok());
+  EXPECT_FALSE(ParseResponse("FUSIONP/1 OK\ncharge sq 0 1 2 lots\nend\n").ok());
+  EXPECT_FALSE(
+      ParseResponse("FUSIONP/1 OK\ncharge sq 0 99999999999999999999999 2 1\n"
+                    "end\n")
+          .ok());
+  EXPECT_FALSE(ParseRequest("FUSIONP/1 SELECT\ntrace 1 2x\nend\n").ok());
 }
 
 TEST(ProtocolMessageTest, IgnoresUnknownFieldsForForwardCompat) {
@@ -228,6 +241,67 @@ TEST(RemoteSourceTest, GarbageTransportFailsCleanly) {
   auto remote = RemoteSource::Connect(
       [](const std::string&) { return std::string("NOISE"); });
   EXPECT_FALSE(remote.ok());
+}
+
+// ---------------------------------------------------------------------------
+// TcpServer: bounded connection state
+// ---------------------------------------------------------------------------
+
+bool WaitFor(const std::function<bool()>& done) {
+  for (int i = 0; i < 5000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+TEST(TcpServerTest, ReapsFinishedConnectionsOneAtATime) {
+  // An echo server serving many short connections, strictly one after
+  // another: the live gauge returns to 0 after each, and finished
+  // connection threads are joined rather than kept until Stop().
+  TcpServer server([](const std::string& frame) { return frame; },
+                   TcpServer::Options());
+  ASSERT_TRUE(server.Start().ok());
+  const std::string endpoint = "127.0.0.1:" + std::to_string(server.port());
+  const std::string frame = "FUSIONP/1 HELLO\nend\n";
+  for (int i = 0; i < 64; ++i) {
+    {
+      auto socket = DialTcp(endpoint);
+      ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+      ASSERT_TRUE(socket->Send(frame).ok());
+      const auto echoed = socket->Receive();
+      ASSERT_TRUE(echoed.ok()) << echoed.status().ToString();
+      EXPECT_EQ(*echoed, frame);
+      EXPECT_EQ(server.live_connections(), 1u);
+      EXPECT_LE(server.retained_threads(), server.live_connections() + 2);
+    }
+    ASSERT_TRUE(WaitFor([&] { return server.live_connections() == 0; }))
+        << "connection " << i << " never deregistered";
+    EXPECT_LE(server.retained_threads(), 2u) << "after connection " << i;
+  }
+  server.Stop();
+  EXPECT_EQ(server.live_connections(), 0u);
+  EXPECT_EQ(server.retained_threads(), 0u);
+}
+
+TEST(TcpServerTest, EmptyReplyHangsUpAndStopResetsLiveConnections) {
+  TcpServer server([](const std::string&) { return std::string(); },
+                   TcpServer::Options());
+  ASSERT_TRUE(server.Start().ok());
+  auto hung_up = DialTcp("127.0.0.1:" + std::to_string(server.port()));
+  ASSERT_TRUE(hung_up.ok());
+  ASSERT_TRUE(hung_up->Send("FUSIONP/1 HELLO\nend\n").ok());
+  const auto reply = hung_up->Receive();
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable);
+
+  // An idle connection blocks its serve thread in recv; Stop() must still
+  // return, having reset it.
+  auto idle = DialTcp("127.0.0.1:" + std::to_string(server.port()));
+  ASSERT_TRUE(idle.ok());
+  ASSERT_TRUE(WaitFor([&] { return server.live_connections() == 1; }));
+  server.Stop();
+  EXPECT_EQ(server.retained_threads(), 0u);
+  EXPECT_FALSE(idle->Receive().ok());
 }
 
 // ---------------------------------------------------------------------------

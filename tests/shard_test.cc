@@ -6,11 +6,9 @@
 // over past a dead shard, and apply INVALIDATE broadcasts idempotently.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-
+#include <atomic>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +17,7 @@
 #include "mediator/service.h"
 #include "protocol/client_protocol.h"
 #include "protocol/features.h"
-#include "protocol/socket.h"
+#include "protocol/tcp_server.h"
 #include "router/router.h"
 #include "router/shard_map.h"
 #include "workload/dmv.h"
@@ -224,79 +222,24 @@ TEST(ServiceInvalidateTest, HandlesTheWireVerb) {
 // QueryRouter end to end over real sockets
 // ---------------------------------------------------------------------------
 
-/// Minimal serve loop for one QueryService (or QueryRouter) over TCP — the
-/// test-side twin of fusionqd/fusionrd.
+/// Serves a QueryService or QueryRouter over TCP on an ephemeral port —
+/// the test-side twin of fusionqd/fusionrd.
 template <typename Server>
-class Daemon {
- public:
-  explicit Daemon(Server* server) : server_(server) {}
-  ~Daemon() { Stop(); }
-
-  Status Start() {
-    FUSION_ASSIGN_OR_RETURN(listener_, TcpListener::Bind("127.0.0.1", 0));
-    acceptor_ = std::thread([this] { AcceptLoop(); });
-    return Status::Ok();
-  }
-
-  int port() const { return listener_.port(); }
-
-  void Stop() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) return;
-      stopping_ = true;
-    }
-    listener_.Close();
-    if (acceptor_.joinable()) acceptor_.join();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
-    }
-    for (std::thread& thread : serving_) {
-      if (thread.joinable()) thread.join();
-    }
-    serving_.clear();
-  }
-
- private:
-  void AcceptLoop() {
-    while (true) {
-      auto accepted = listener_.Accept();
-      if (!accepted.ok()) return;
-      MessageSocket socket = std::move(accepted).value();
-      const int fd = socket.fd();
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        socket.Close();
-        return;
-      }
-      live_fds_.insert(fd);
-      serving_.emplace_back(
-          [this, fd](MessageSocket s) {
-            server_->ServeConnection(ChaosSocket(std::move(s)));
-            std::lock_guard<std::mutex> inner(mu_);
-            live_fds_.erase(fd);
-          },
-          std::move(socket));
-    }
-  }
-
-  Server* server_;
-  TcpListener listener_;
-  std::thread acceptor_;
-  std::mutex mu_;
-  bool stopping_ = false;
-  std::set<int> live_fds_;
-  std::vector<std::thread> serving_;
-};
+std::unique_ptr<TcpServer> StartDaemon(Server* server) {
+  auto daemon = std::make_unique<TcpServer>(
+      [server](const std::string& request) { return server->Handle(request); },
+      TcpServer::Options());
+  EXPECT_TRUE(daemon->Start().ok());
+  return daemon;
+}
 
 /// A 2-shard fleet behind a router: each shard is a full QueryService over
 /// its own byte-identical replica of the Figure 1 federation.
 struct Fleet {
   std::vector<std::unique_ptr<QueryService>> services;
-  std::vector<std::unique_ptr<Daemon<QueryService>>> shard_daemons;
+  std::vector<std::unique_ptr<TcpServer>> shard_daemons;
   std::unique_ptr<QueryRouter> router;
-  std::unique_ptr<Daemon<QueryRouter>> router_daemon;
+  std::unique_ptr<TcpServer> router_daemon;
 
   std::string endpoint() const {
     return Endpoint(router_daemon->port());
@@ -308,9 +251,7 @@ Fleet StartFleet(size_t k) {
   std::vector<Shard> shards;
   for (size_t i = 0; i < k; ++i) {
     fleet.services.push_back(Figure1Service());
-    fleet.shard_daemons.push_back(
-        std::make_unique<Daemon<QueryService>>(fleet.services.back().get()));
-    EXPECT_TRUE(fleet.shard_daemons.back()->Start().ok());
+    fleet.shard_daemons.push_back(StartDaemon(fleet.services.back().get()));
     Shard shard;
     shard.name = "shard-" + std::to_string(i);
     shard.endpoint = Endpoint(fleet.shard_daemons.back()->port());
@@ -320,9 +261,7 @@ Fleet StartFleet(size_t k) {
   EXPECT_TRUE(map.ok());
   fleet.router = std::make_unique<QueryRouter>(std::move(map).value(),
                                                QueryRouter::Options{});
-  fleet.router_daemon =
-      std::make_unique<Daemon<QueryRouter>>(fleet.router.get());
-  EXPECT_TRUE(fleet.router_daemon->Start().ok());
+  fleet.router_daemon = StartDaemon(fleet.router.get());
   return fleet;
 }
 
@@ -457,6 +396,50 @@ TEST(RouterTest, FailsOverPastADeadShard) {
   const auto other = client->QuerySql(kDuiOnly);
   ASSERT_TRUE(other.ok()) << other.status().ToString();
   fleet.router->Shutdown();
+}
+
+TEST(RouterTest, MalformedShardFrameIsAParseErrorNotAFailover) {
+  // Both shards handshake normally but answer SUBMIT with a whole frame
+  // whose ticket is not a number. That is a protocol error, final on the
+  // first shard: no failover, so the query never runs a second time.
+  std::vector<std::atomic<int>> submits(2);
+  std::vector<std::unique_ptr<TcpServer>> shards;
+  std::vector<Shard> specs;
+  for (size_t i = 0; i < 2; ++i) {
+    std::atomic<int>* count = &submits[i];
+    shards.push_back(std::make_unique<TcpServer>(
+        [count](const std::string& request) -> std::string {
+          if (request.rfind("FUSIONQ/1 HELLO", 0) == 0) {
+            ClientResponse hello;
+            hello.server = "fake";
+            hello.features = ClientProtocolFeatures();
+            return SerializeClientResponse(hello);
+          }
+          count->fetch_add(1);
+          return "FUSIONQ/1 OK\nticket abc\nend\n";
+        },
+        TcpServer::Options()));
+    ASSERT_TRUE(shards.back()->Start().ok());
+    specs.push_back({"shard-" + std::to_string(i),
+                     Endpoint(shards.back()->port())});
+  }
+  auto map = ShardMap::Make(specs);
+  ASSERT_TRUE(map.ok());
+  QueryRouter router(std::move(map).value(), QueryRouter::Options{});
+  ClientRequest submit;
+  submit.kind = ClientRequest::Kind::kSubmit;
+  submit.sql = kDuiAndSp;
+  const auto response =
+      ParseClientResponse(router.Handle(SerializeClientRequest(submit)));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_FALSE(response->ok);
+  EXPECT_EQ(response->error_code, StatusCode::kParseError)
+      << response->error_message;
+  EXPECT_EQ(router.counters().failovers, 0u);
+  // Exactly one shard saw the SUBMIT; the other never did.
+  EXPECT_EQ(submits[0].load() + submits[1].load(), 1);
+  EXPECT_TRUE(submits[0].load() == 0 || submits[1].load() == 0);
+  router.Shutdown();
 }
 
 TEST(RouterTest, InvalidateFanOutIsIdempotentAcrossTheFleet) {

@@ -16,15 +16,10 @@
 //
 // --port=0 binds an ephemeral port; the actual port is printed on the
 // "listening on" line, so scripts can parse it.
-#include <sys/socket.h>
-
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,7 +34,7 @@
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "protocol/chaos.h"
-#include "protocol/socket.h"
+#include "protocol/tcp_server.h"
 
 namespace fusion {
 namespace {
@@ -210,41 +205,6 @@ Result<Args> ParseArgs(int argc, char** argv) {
   return args;
 }
 
-/// The accepted connections' fds, so shutdown can unblock their Receive()s
-/// (shutdown(2) wakes a blocked recv; close alone does not). Registered at
-/// accept time — the fd number survives the socket being moved into its
-/// serve thread.
-class ConnectionRegistry {
- public:
-  void Register(int fd) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fds_.push_back(fd);
-  }
-
-  void ShutdownAll() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const int fd : fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<int> fds_;
-};
-
-// The listening fd, for the async-signal-safe shutdown path: SIGINT/SIGTERM
-// shut it down and close it, which makes the blocked accept() return and
-// the main loop exit. shutdown(2) first — close alone does not wake an
-// accept() blocked on another thread, and the signal may land on any.
-std::atomic<int> g_listener_fd{-1};
-
-void HandleSignal(int) {
-  const int fd = g_listener_fd.exchange(-1);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-}
-
 Result<QueryService::Options> ServiceOptionsFromArgs(const Args& args) {
   QueryService::Options options;
   options.server_name = args.name;
@@ -255,6 +215,8 @@ Result<QueryService::Options> ServiceOptionsFromArgs(const Args& args) {
 }
 
 int Serve(const Args& args) {
+  // Before any thread starts, so SIGINT/SIGTERM reach only the sigwait below.
+  BlockTerminationSignals();
   auto catalog = LoadCatalogFromFile(args.catalog_path);
   if (!catalog.ok()) {
     std::fprintf(stderr, "catalog: %s\n", catalog.status().ToString().c_str());
@@ -266,21 +228,41 @@ int Serve(const Args& args) {
     std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
     return 2;
   }
-  auto listener = TcpListener::Bind(args.host, args.port);
-  if (!listener.ok()) {
-    std::fprintf(stderr, "bind: %s\n", listener.status().ToString().c_str());
-    return 1;
-  }
   QueryService service(Mediator(std::move(catalog).value()), *options);
   if (!args.trace_out.empty()) Tracer::Global().Enable();
 
-  g_listener_fd.store(listener->fd());
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
+  TcpServer::Options server_options;
+  server_options.host = args.host;
+  server_options.port = args.port;
+  server_options.stall_deadline_seconds = options->stall_deadline_seconds;
+  if (args.chaos.enabled()) {
+    ChaosPolicy policy = args.chaos;
+    // FUSION_SEED replays the whole daemon's fault schedule unless the
+    // operator pinned one explicitly.
+    if (!args.chaos_seed_set) policy.seed = GlobalSeed(policy.seed);
+    server_options.chaos = std::make_shared<ChaosDecider>(policy);
+  }
+  TcpServer server(
+      [&service](const std::string& m) { return service.Handle(m); },
+      server_options);
+  const Status started = server.Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "bind: %s\n", started.ToString().c_str());
+    return 1;
+  }
 
   std::printf("%s: listening on %s:%d (%zu sources, workers=%d, queue=%d)\n",
-              args.name.c_str(), args.host.c_str(), listener->port(),
+              args.name.c_str(), args.host.c_str(), server.port(),
               num_sources, args.workers, args.max_queue);
+  if (server_options.chaos != nullptr) {
+    const ChaosPolicy& policy = server_options.chaos->policy();
+    std::printf(
+        "%s: chaos enabled (drop=%.3g torn=%.3g delay=%.3g refuse=%.3g "
+        "hang=%.3g seed=%llu)\n",
+        args.name.c_str(), policy.drop_rate, policy.torn_write_rate,
+        policy.delay_rate, policy.accept_refuse_rate, policy.hang_rate,
+        static_cast<unsigned long long>(policy.seed));
+  }
   std::fflush(stdout);
   if (!args.port_file.empty()) {
     // Atomic write: the readiness file is a polled signal, and a fast
@@ -288,52 +270,19 @@ int Serve(const Args& args) {
     // prefix (the fopen-then-fprintf it replaced created an *empty* file
     // before the port landed).
     const Status wrote = WriteFileAtomic(
-        args.port_file, std::to_string(listener->port()) + "\n");
+        args.port_file, std::to_string(server.port()) + "\n");
     if (!wrote.ok()) {
       std::fprintf(stderr, "port-file: %s\n", wrote.message().c_str());
       return 1;
     }
   }
 
-  std::shared_ptr<ChaosDecider> chaos;
-  if (args.chaos.enabled()) {
-    ChaosPolicy policy = args.chaos;
-    // FUSION_SEED replays the whole daemon's fault schedule unless the
-    // operator pinned one explicitly.
-    if (!args.chaos_seed_set) policy.seed = GlobalSeed(policy.seed);
-    chaos = std::make_shared<ChaosDecider>(policy);
-    std::printf(
-        "%s: chaos enabled (drop=%.3g torn=%.3g delay=%.3g refuse=%.3g "
-        "hang=%.3g seed=%llu)\n",
-        args.name.c_str(), policy.drop_rate, policy.torn_write_rate,
-        policy.delay_rate, policy.accept_refuse_rate, policy.hang_rate,
-        static_cast<unsigned long long>(policy.seed));
-    std::fflush(stdout);
-  }
-
-  ConnectionRegistry connections;
-  std::vector<std::thread> threads;
-  for (;;) {
-    Result<MessageSocket> accepted = listener->Accept();
-    if (!accepted.ok()) break;  // listener closed: shutdown
-    MessageSocket socket = std::move(accepted).value();
-    if (ChaosRefuseAccept(chaos.get())) {
-      socket.Close();
-      continue;
-    }
-    connections.Register(socket.fd());
-    threads.emplace_back(
-        [&service, chaos](MessageSocket s) {
-          service.ServeConnection(ChaosSocket(std::move(s), chaos));
-        },
-        std::move(socket));
-  }
-  // Signal path: reject new work, cancel in-flight queries, wake blocked
-  // connection reads, then join everything.
+  WaitForTerminationSignal();
+  // Reject new work and cancel in-flight queries first, so no connection
+  // thread stays blocked in a SUBMIT, then reset and join the connections.
   std::printf("%s: shutting down\n", args.name.c_str());
   service.Shutdown();
-  connections.ShutdownAll();
-  for (std::thread& t : threads) t.join();
+  server.Stop();
   if (!args.trace_out.empty()) {
     const std::vector<SpanRecord> spans = Tracer::Global().Drain();
     const Status written = WriteChromeTrace(spans, args.trace_out);
@@ -366,28 +315,16 @@ int Smoke(const Args& args) {
     std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
     return 2;
   }
-  auto listener = TcpListener::Bind("127.0.0.1", 0);
-  if (!listener.ok()) {
-    std::fprintf(stderr, "bind: %s\n", listener.status().ToString().c_str());
+  QueryService service(Mediator(std::move(catalog).value()), *options);
+  TcpServer server(
+      [&service](const std::string& m) { return service.Handle(m); },
+      TcpServer::Options());
+  const Status started = server.Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "bind: %s\n", started.ToString().c_str());
     return 1;
   }
-  const std::string endpoint =
-      "127.0.0.1:" + std::to_string(listener->port());
-  QueryService service(Mediator(std::move(catalog).value()), *options);
-
-  // Serve exactly two connections, each on its own thread — the smoke's
-  // clients below.
-  std::vector<std::thread> server_threads;
-  std::thread acceptor([&] {
-    for (int i = 0; i < 2; ++i) {
-      Result<MessageSocket> accepted = listener->Accept();
-      if (!accepted.ok()) return;
-      server_threads.emplace_back(
-          [&service, socket = std::move(accepted).value()]() mutable {
-            service.ServeConnection(std::move(socket));
-          });
-    }
-  });
+  const std::string endpoint = "127.0.0.1:" + std::to_string(server.port());
 
   auto first_or = Client::Builder()
                       .To(Client::Target::Remote(endpoint))
@@ -398,11 +335,9 @@ int Smoke(const Args& args) {
                  first_or.status().ToString().c_str());
     return 1;
   }
-  // unique_ptr so the connection can be closed (below) before the serve
-  // threads are joined — they run until their peer hangs up.
-  auto first = std::make_unique<Client>(std::move(first_or).value());
+  Client first = std::move(first_or).value();
   // Phase 1: one cold query pays the full metered cost.
-  Result<ClientAnswer> cold = first->QuerySql(args.sql);
+  Result<ClientAnswer> cold = first.QuerySql(args.sql);
   if (!cold.ok()) {
     std::fprintf(stderr, "smoke: cold query failed: %s\n",
                  cold.status().ToString().c_str());
@@ -419,7 +354,7 @@ int Smoke(const Args& args) {
   // shared across clients through the service path.
   Result<ClientAnswer> warm_same = Status::Unavailable("not run");
   Result<ClientAnswer> warm_other = Status::Unavailable("not run");
-  std::thread same([&] { warm_same = first->QuerySql(args.sql); });
+  std::thread same([&] { warm_same = first.QuerySql(args.sql); });
   std::thread other([&] {
     auto second = Client::Builder()
                       .To(Client::Target::Remote(endpoint))
@@ -433,9 +368,6 @@ int Smoke(const Args& args) {
   });
   same.join();
   other.join();
-  first.reset();  // hang up so the serve loops (and their threads) exit
-  acceptor.join();
-  for (std::thread& t : server_threads) t.join();
 
   for (const auto* run : {&warm_same, &warm_other}) {
     if (!run->ok()) {

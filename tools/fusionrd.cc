@@ -17,22 +17,16 @@
 //
 // --port=0 binds an ephemeral port; the actual port is printed on the
 // "listening on" line and written to --port-file (atomically) when given.
-#include <sys/socket.h>
-
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "cli/client_flags.h"
 #include "common/file_util.h"
-#include "protocol/socket.h"
+#include "protocol/tcp_server.h"
 #include "router/router.h"
 #include "router/shard_map.h"
 
@@ -104,61 +98,33 @@ Result<Args> ParseArgs(int argc, char** argv) {
   return args;
 }
 
-/// Accepted-connection fds so shutdown can unblock their Receive()s —
-/// shutdown(2) wakes a blocked recv; close alone does not.
-class ConnectionRegistry {
- public:
-  void Register(int fd) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fds_.push_back(fd);
-  }
-
-  void ShutdownAll() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const int fd : fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<int> fds_;
-};
-
-// Async-signal-safe shutdown: SIGINT/SIGTERM shut the listener down (then
-// close it), so the blocked accept() returns and the main loop exits.
-// shutdown(2) first — close alone does not wake an accept() blocked on
-// another thread, and the signal may be delivered to any of them.
-std::atomic<int> g_listener_fd{-1};
-
-void HandleSignal(int) {
-  const int fd = g_listener_fd.exchange(-1);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-}
-
 int Serve(const Args& args) {
+  // Before any thread starts, so SIGINT/SIGTERM reach only the sigwait below.
+  BlockTerminationSignals();
   auto shard_map = ShardMap::Make(args.shards);
   if (!shard_map.ok()) {
     std::fprintf(stderr, "shards: %s\n",
                  shard_map.status().ToString().c_str());
     return 2;
   }
-  auto listener = TcpListener::Bind(args.host, args.port);
-  if (!listener.ok()) {
-    std::fprintf(stderr, "bind: %s\n", listener.status().ToString().c_str());
-    return 1;
-  }
   QueryRouter::Options options;
   options.server_name = args.name;
   QueryRouter router(std::move(shard_map).value(), options);
-
-  g_listener_fd.store(listener->fd());
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
+  TcpServer::Options server_options;
+  server_options.host = args.host;
+  server_options.port = args.port;
+  server_options.stall_deadline_seconds = options.stall_deadline_seconds;
+  TcpServer server(
+      [&router](const std::string& m) { return router.Handle(m); },
+      server_options);
+  const Status started = server.Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "bind: %s\n", started.ToString().c_str());
+    return 1;
+  }
 
   std::printf("%s: listening on %s:%d (routing to %zu shards)\n",
-              args.name.c_str(), args.host.c_str(), listener->port(),
+              args.name.c_str(), args.host.c_str(), server.port(),
               router.shards().size());
   for (size_t i = 0; i < router.shards().size(); ++i) {
     const Shard& shard = router.shards().shard(i);
@@ -168,30 +134,17 @@ int Serve(const Args& args) {
   std::fflush(stdout);
   if (!args.port_file.empty()) {
     const Status wrote = WriteFileAtomic(
-        args.port_file, std::to_string(listener->port()) + "\n");
+        args.port_file, std::to_string(server.port()) + "\n");
     if (!wrote.ok()) {
       std::fprintf(stderr, "port-file: %s\n", wrote.message().c_str());
       return 1;
     }
   }
 
-  ConnectionRegistry connections;
-  std::vector<std::thread> threads;
-  for (;;) {
-    Result<MessageSocket> accepted = listener->Accept();
-    if (!accepted.ok()) break;  // listener closed: shutdown
-    MessageSocket socket = std::move(accepted).value();
-    connections.Register(socket.fd());
-    threads.emplace_back(
-        [&router](MessageSocket s) {
-          router.ServeConnection(ChaosSocket(std::move(s)));
-        },
-        std::move(socket));
-  }
+  WaitForTerminationSignal();
   std::printf("%s: shutting down\n", args.name.c_str());
   router.Shutdown();
-  connections.ShutdownAll();
-  for (std::thread& t : threads) t.join();
+  server.Stop();
   return 0;
 }
 

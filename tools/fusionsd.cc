@@ -17,15 +17,11 @@
 // can spawn replicas without port bookkeeping. The --chaos-* flags inject
 // seeded faults at this replica's edge (see protocol/chaos.h) — the way
 // the chaos tests and drills abuse a "real" networked source.
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cli/catalog_config.h"
@@ -134,11 +130,9 @@ Result<Args> ParseArgs(int argc, char** argv) {
   return args;
 }
 
-std::atomic<bool> g_stop{false};
-
-void HandleSignal(int) { g_stop.store(true); }
-
 int Serve(const Args& args) {
+  // Before any thread starts, so SIGINT/SIGTERM reach only the sigwait below.
+  BlockTerminationSignals();
   auto text = ReadFileToString(args.catalog_path);
   if (!text.ok()) {
     std::fprintf(stderr, "catalog: %s\n", text.status().ToString().c_str());
@@ -190,9 +184,6 @@ int Serve(const Args& args) {
     std::fprintf(stderr, "bind: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
-
   std::printf("fusionsd: serving source '%s' on %s:%d%s\n",
               spec->name.c_str(), args.host.c_str(), server.port(),
               options.chaos.enabled() ? " (chaos enabled)" : "");
@@ -210,9 +201,7 @@ int Serve(const Args& args) {
     }
   }
 
-  while (!g_stop.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  WaitForTerminationSignal();
   std::printf("fusionsd: shutting down\n");
   server.Stop();
   return 0;

@@ -23,7 +23,7 @@
 #include "mediator/client.h"
 #include "mediator/service.h"
 #include "obs/exposition.h"
-#include "protocol/socket.h"
+#include "protocol/tcp_server.h"
 
 namespace fusion {
 namespace {
@@ -221,27 +221,18 @@ int Smoke(const Args& args) {
     std::fprintf(stderr, "catalog: %s\n", catalog.status().ToString().c_str());
     return 1;
   }
-  auto listener = TcpListener::Bind("127.0.0.1", 0);
-  if (!listener.ok()) {
-    std::fprintf(stderr, "bind: %s\n", listener.status().ToString().c_str());
-    return 1;
-  }
-  const std::string endpoint =
-      "127.0.0.1:" + std::to_string(listener->port());
   QueryService::Options options;
   options.client.use_cache = true;
   QueryService service(Mediator(std::move(catalog).value()), options);
-  std::vector<std::thread> server_threads;
-  std::thread acceptor([&] {
-    for (int i = 0; i < 2; ++i) {
-      Result<MessageSocket> accepted = listener->Accept();
-      if (!accepted.ok()) return;
-      server_threads.emplace_back(
-          [&service, socket = std::move(accepted).value()]() mutable {
-            service.ServeConnection(std::move(socket));
-          });
-    }
-  });
+  TcpServer server(
+      [&service](const std::string& m) { return service.Handle(m); },
+      TcpServer::Options());
+  const Status started = server.Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "bind: %s\n", started.ToString().c_str());
+    return 1;
+  }
+  const std::string endpoint = "127.0.0.1:" + std::to_string(server.port());
 
   int exit_code = 1;
   {
@@ -266,10 +257,7 @@ int Smoke(const Args& args) {
     Args once = args;
     once.interval = 0;
     exit_code = Watch(once, *watcher);
-    // Clients hang up here, releasing the serve loops.
   }
-  acceptor.join();
-  for (std::thread& t : server_threads) t.join();
   if (exit_code == 0) std::printf("fusiontop smoke: ok\n");
   return exit_code;
 }
