@@ -174,6 +174,7 @@ void MeasuredMakespan() {
   constexpr double kScale = 2e-3;  // seconds of sleep per metered cost unit
   ExecOptions options;
   options.simulated_seconds_per_cost = kScale;
+  options.parallelism = 1;  // the sequential row
 
   const auto seq =
       ExecutePlan(plan, instance->catalog, instance->query, options);

@@ -39,7 +39,7 @@ bool ClientFlags::Consume(const char* arg, Status* error) {
   std::string number;
   if (ParseFlagValue(arg, "--parallelism", &number)) {
     parallelism = std::atoi(number.c_str());
-    if (parallelism < 1) {
+    if (*parallelism < 1) {
       *error = Status::InvalidArgument("--parallelism must be >= 1");
     }
     return true;
@@ -106,7 +106,9 @@ const char* ClientFlags::Help() {
       "                   (session = learned statistics with execution\n"
       "                   feedback; calibrated pays metered probe traffic)\n"
       "  --lazy           lazy short-circuit execution\n"
-      "  --parallelism=N  parallel plan execution with N workers (default 1)\n"
+      "  --parallelism=N  plan execution workers; 1 = serial (default: one\n"
+      "                   per source whose calls wait — paced or remote —\n"
+      "                   and serial when fewer than two do)\n"
       "  --on-failure=P   fail | degrade — what to do when a source is\n"
       "                   exhausted: fail the query (default) or return a\n"
       "                   sound partial answer excluding the dead source\n"

@@ -37,7 +37,7 @@ struct ClientFlags {
   /// oracle | parametric | calibrated | session.
   std::string stats = "oracle";
   bool lazy = false;
-  int parallelism = 1;
+  std::optional<int> parallelism;  // unset = automatic
   std::string on_failure = "fail";  // fail | degrade
   int max_attempts = 1;
   double deadline_ms = 0.0;

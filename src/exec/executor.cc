@@ -117,9 +117,9 @@ Status ValidateExecOptions(const ExecOptions& options) {
   if (options.cost_budget < 0.0) {
     return Status::InvalidArgument("cost_budget < 0");
   }
-  if (options.parallelism < 1) {
+  if (options.parallelism.has_value() && *options.parallelism < 1) {
     return Status::InvalidArgument("parallelism must be >= 1, got " +
-                                   std::to_string(options.parallelism));
+                                   std::to_string(*options.parallelism));
   }
   if (options.simulated_seconds_per_cost < 0.0) {
     return Status::InvalidArgument("simulated_seconds_per_cost < 0");
@@ -185,14 +185,14 @@ class PlanRun {
   /// before it needs it, so the short-circuits can leave subtrees unrun.
   Status RunLazy() { return Demand(plan_.result()); }
 
-  /// The op dependency DAG over a pool of options.parallelism workers. An
+  /// The op dependency DAG over a pool of `workers` threads. An
   /// op waits for the ops defining its inputs and for the previous op on
   /// its source: a source answers one query at a time (the model
   /// ComputeResponseTime prices), which also keeps per-source wrapper state
   /// race-free within one execution. Workers write only op-private slots;
   /// the scheduler mutex orders an op's completion before the dispatch of
   /// its dependents, which makes their reads of its outputs race-free.
-  Status RunParallel() {
+  Status RunParallel(int workers) {
     const size_t num_ops = plan_.num_ops();
     std::vector<std::vector<size_t>> dependents(num_ops);
     std::vector<size_t> pending(num_ops, 0);
@@ -220,7 +220,7 @@ class PlanRun {
     Status error;  // the first failure; no op is dispatched after it
     std::function<void(size_t)> dispatch;  // requires mu held
     {
-      ThreadPool pool(options_.parallelism);
+      ThreadPool pool(workers);
       dispatch = [&](size_t k) {
         ++scheduled;
         pool.Submit([&, k] {
@@ -514,6 +514,29 @@ class PlanRun {
   std::vector<size_t> order_;         // ops that ran, in merge order
 };
 
+/// The automatic worker count: the number of distinct sources with an op
+/// that waits. A call waits when it sleeps for its paced cost or when its
+/// source is not the in-process simulator (a network source or a test
+/// double); an unpaced simulator call is mediator CPU, which another
+/// thread would only hand off, not overlap.
+int WaitingSources(const Plan& plan, const SourceCatalog& catalog,
+                   const ExecOptions& options) {
+  std::vector<char> waits(catalog.size(), 0);
+  int count = 0;
+  for (const PlanOp& op : plan.ops()) {
+    if (op.source < 0) continue;
+    char& seen = waits[static_cast<size_t>(op.source)];
+    if (seen == 0 &&
+        (options.simulated_seconds_per_cost > 0.0 ||
+         catalog.source(static_cast<size_t>(op.source)).AsSimulated() ==
+             nullptr)) {
+      seen = 1;
+      ++count;
+    }
+  }
+  return count;
+}
+
 }  // namespace
 
 Result<ExecutionReport> ExecutePlan(const Plan& plan,
@@ -531,12 +554,14 @@ Result<ExecutionReport> ExecutePlan(const Plan& plan,
   // cost budget covers every ledger (all ops, failed attempts included).
   exec_internal::FaultState fault(options);
   PlanRun run(plan, catalog, query, options, &fault);
+  const int workers =
+      options.parallelism.value_or(WaitingSources(plan, catalog, options));
   // Lazy evaluation stays serial at any parallelism: demand-driven
   // evaluation pays off by skipping work, not by overlapping it.
   if (options.lazy_short_circuit) {
     FUSION_RETURN_IF_ERROR(run.RunLazy());
-  } else if (options.parallelism > 1) {
-    FUSION_RETURN_IF_ERROR(run.RunParallel());
+  } else if (workers > 1) {
+    FUSION_RETURN_IF_ERROR(run.RunParallel(workers));
   } else {
     FUSION_RETURN_IF_ERROR(run.RunEager());
   }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -219,16 +220,22 @@ struct ExecOptions {
   /// internally synchronized and single-flight deduplicated, so it may be
   /// shared by concurrent workers and concurrent executions.
   SourceCallCache* cache = nullptr;
-  /// Worker count for plan execution. 1 (the default) runs every op in
-  /// plan order on the calling thread; > 1 walks the plan's op dependency
-  /// DAG with a thread pool, overlapping data-independent source calls
-  /// (queries to the *same* source still serialize in plan order, matching
-  /// plan/response_time.h's model). The answer, per-op costs, and merged
-  /// ledger are identical to sequential execution. Combined with
+  /// Worker count for plan execution. Unset (the default) is automatic:
+  /// one worker per distinct source with an op that *waits* — its call
+  /// sleeps for a paced cost (simulated_seconds_per_cost > 0), or its
+  /// source is not the in-process simulator (AsSimulated() == nullptr: a
+  /// RemoteSource or a test double). With fewer than two such sources
+  /// there is nothing to overlap, and every op runs in plan order on the
+  /// calling thread, with no pool and no thread. 1 forces that serial run;
+  /// N > 1 walks the plan's op dependency DAG with N workers. Either
+  /// parallel walk overlaps data-independent source calls, while queries
+  /// to the *same* source still serialize in plan order, matching
+  /// plan/response_time.h's model. The answer, per-op costs, and merged
+  /// ledger are identical to serial execution. Combined with
   /// lazy_short_circuit the lazy schedule runs instead (demand-driven
   /// evaluation is inherently serial; its payoff is skipping work, not
   /// overlapping it).
-  int parallelism = 1;
+  std::optional<int> parallelism;
   /// When > 0, every plan op additionally sleeps for
   /// (its metered cost) * this many seconds, turning the abstract cost units
   /// into real source latencies. Benchmarks use it to demonstrate that
@@ -246,7 +253,7 @@ struct ExecOptions {
 };
 
 /// Rejects nonsensical options with kInvalidArgument before any source is
-/// contacted: retry.max_attempts < 1, parallelism < 1, negative
+/// contacted: retry.max_attempts < 1, a set parallelism < 1, negative
 /// simulated_seconds_per_cost / deadline / budget / backoff / timeout,
 /// backoff_multiplier < 1, jitter_fraction outside [0, 1). Called by
 /// ExecutePlan; exposed for callers that want to validate eagerly.

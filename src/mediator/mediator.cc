@@ -155,8 +155,12 @@ Result<QueryAnswer> Mediator::Answer(const FusionQuery& raw_query,
     ScopedSpan span(SpanCategory::kPhase, "execute");
     if (span.active()) {
       span.AddAttr("ops", optimized.plan.num_ops());
-      span.AddAttr("parallelism",
-                   static_cast<int64_t>(options.execution.parallelism));
+      if (options.execution.parallelism.has_value()) {
+        span.AddAttr("parallelism",
+                     static_cast<int64_t>(*options.execution.parallelism));
+      } else {
+        span.AddAttr("parallelism", "auto");
+      }
     }
     return ExecutePlan(optimized.plan, catalog_, query, options.execution);
   }();

@@ -52,8 +52,9 @@ class QueryService {
     /// Server identity reported in the HELLO handshake.
     std::string server_name = "fusionqd";
     /// Executor workers: how many requests run concurrently. Each running
-    /// request may itself use ClientOptions::execution.parallelism pool
-    /// workers of its own for intra-query parallelism.
+    /// request may itself use pool workers of its own for intra-query
+    /// parallelism (ClientOptions::execution.parallelism; by default one
+    /// per source whose calls wait).
     int workers = 4;
     /// Admission bound: requests queued (admitted, not yet running) beyond
     /// which Submit sheds load with kUnavailable. Running requests do not

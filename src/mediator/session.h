@@ -8,6 +8,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_set>
 
 #include "exec/source_call_cache.h"
 #include "exec/source_health.h"
@@ -173,7 +174,9 @@ class QuerySession {
   mutable std::mutex knowledge_mutex_;
   std::map<std::pair<size_t, std::string>, double> observed_result_size_;
   std::map<size_t, double> observed_cardinality_;
-  ItemSet observed_universe_;
+  /// Every item seen at any source; only its size is read (the universe
+  /// lower bound), so a hash set grows it without re-merging.
+  std::unordered_set<Value, ValueHash> observed_universe_;
 
   /// Last executed plan per (strategy, canonical query), FIFO-bounded. On a
   /// repeated query the memoized plan's calls are exact cache hits, so

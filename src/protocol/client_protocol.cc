@@ -70,9 +70,9 @@ Result<ClientRequest> ParseClientRequest(const std::string& text) {
     } else if (key == "ticket") {
       FUSION_ASSIGN_OR_RETURN(request.ticket, ParseWireU64(key, value));
     } else if (key == "wait") {
-      request.wait = value != "no";
+      FUSION_ASSIGN_OR_RETURN(request.wait, ParseWireYesNo(key, value));
     } else if (key == "explain") {
-      request.explain = value == "yes";
+      FUSION_ASSIGN_OR_RETURN(request.explain, ParseWireYesNo(key, value));
     } else if (key == "features") {
       request.features = SplitWireCsv(value);
     } else if (key == "trace-id") {
@@ -169,7 +169,7 @@ Result<ClientResponse> ParseClientResponse(const std::string& text) {
       FUSION_ASSIGN_OR_RETURN(response.calibration_cost,
                               ParseWireDouble(key, value));
     } else if (key == "complete") {
-      response.complete = value != "no";
+      FUSION_ASSIGN_OR_RETURN(response.complete, ParseWireYesNo(key, value));
     } else if (key == "features") {
       response.features = SplitWireCsv(value);
     } else if (key == "stats") {

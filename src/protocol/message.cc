@@ -113,7 +113,8 @@ Result<SourceResponse> ParseResponse(const std::string& text) {
     } else if (key == "semijoin") {
       response.semijoin_support = value;
     } else if (key == "load") {
-      response.supports_load = value == "yes";
+      FUSION_ASSIGN_OR_RETURN(response.supports_load,
+                              ParseWireYesNo(key, value));
     } else if (key == "features") {
       response.features = SplitWireCsv(value);
     } else if (key == "charge") {

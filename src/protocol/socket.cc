@@ -19,13 +19,17 @@ Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
 }
 
+/// The "\nend\n" terminator, less one byte: how far a terminator can reach
+/// back into bytes already searched.
+constexpr size_t kTerminatorOverlap = 4;
+
 /// Finds the end of the first complete message in `buffer`: the offset one
 /// past its "end\n" terminator line, or npos. Messages start with a magic
 /// line, so a terminator is either "...\nend\n" or the whole buffer "end\n"
-/// (degenerate, tolerated).
-size_t FindMessageEnd(const std::string& buffer) {
+/// (degenerate, tolerated). The search for "\nend\n" starts at `from`.
+size_t FindMessageEnd(const std::string& buffer, size_t from) {
   if (buffer.rfind("end\n", 0) == 0) return 4;
-  const size_t pos = buffer.find("\nend\n");
+  const size_t pos = buffer.find("\nend\n", from);
   if (pos == std::string::npos) return std::string::npos;
   return pos + 5;
 }
@@ -100,13 +104,26 @@ Status MessageSocket::Send(const std::string& message) {
 Result<std::string> MessageSocket::Receive() {
   if (!valid()) return Status::Internal("receive on closed socket");
   char chunk[4096];
+  // Bytes of buffer_ already searched for a terminator. Each search resumes
+  // there (less the overlap a terminator split across two recvs needs), so
+  // assembling a frame is linear in its size.
+  size_t searched = 0;
   for (;;) {
-    const size_t end = FindMessageEnd(buffer_);
+    const size_t end = FindMessageEnd(buffer_, searched);
     if (end != std::string::npos) {
       std::string message = buffer_.substr(0, end);
       buffer_.erase(0, end);
       return message;
     }
+    if (receive_limit_ > 0 && buffer_.size() > receive_limit_) {
+      return Status::ParseError(
+          "oversized message: " + std::to_string(buffer_.size()) +
+          " bytes without a terminator (limit " +
+          std::to_string(receive_limit_) + ")");
+    }
+    searched = buffer_.size() > kTerminatorOverlap
+                   ? buffer_.size() - kTerminatorOverlap
+                   : 0;
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -128,13 +145,6 @@ Result<std::string> MessageSocket::Receive() {
       return Status::ParseError("connection closed mid-message");
     }
     buffer_.append(chunk, static_cast<size_t>(n));
-    if (receive_limit_ > 0 && buffer_.size() > receive_limit_ &&
-        FindMessageEnd(buffer_) == std::string::npos) {
-      return Status::ParseError(
-          "oversized message: " + std::to_string(buffer_.size()) +
-          " bytes without a terminator (limit " +
-          std::to_string(receive_limit_) + ")");
-    }
   }
 }
 

@@ -136,6 +136,12 @@ Result<double> ParseWireDouble(std::string_view key, std::string_view text) {
   return ParseNumber<double>(key, text);
 }
 
+Result<bool> ParseWireYesNo(std::string_view key, std::string_view text) {
+  if (text == "yes" || text == "no") return text == "yes";
+  return Status::ParseError("bad " + std::string(key) + ": " +
+                            std::string(text));
+}
+
 Result<std::string> UnescapeWireText(std::string_view text) {
   std::string out;
   out.reserve(text.size());

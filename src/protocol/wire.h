@@ -132,6 +132,8 @@ Result<bool> ParseWireOk(std::string_view head, const char* what);
 Result<uint64_t> ParseWireU64(std::string_view key, std::string_view text);
 Result<size_t> ParseWireCount(std::string_view key, std::string_view text);
 Result<double> ParseWireDouble(std::string_view key, std::string_view text);
+/// Strict flags: exactly `yes` or `no`.
+Result<bool> ParseWireYesNo(std::string_view key, std::string_view text);
 Result<std::string> UnescapeWireText(std::string_view text);
 Result<Value> ParseWireValue(std::string_view text);
 /// Comma-separated tokens, empty ones dropped.

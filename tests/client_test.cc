@@ -369,6 +369,13 @@ TEST(ClientProtocolTest, MalformedTextIsAParseError) {
       ParseClientResponse("FUSIONQ/1 OK\ncalibration-cost 1.5x\nend\n").ok());
   EXPECT_FALSE(
       ParseClientRequest("FUSIONQ/1 SUBMIT\nrequest-id -1\nend\n").ok());
+  // Flags are strictly yes or no: a corrupted `complete` must not report a
+  // degraded answer as complete.
+  EXPECT_FALSE(
+      ParseClientResponse("FUSIONQ/1 OK\ncomplete maybe\nend\n").ok());
+  EXPECT_FALSE(ParseClientRequest("FUSIONQ/1 SUBMIT\nwait nope\nend\n").ok());
+  EXPECT_FALSE(
+      ParseClientRequest("FUSIONQ/1 SUBMIT\nexplain sure\nend\n").ok());
 }
 
 TEST(ClientProtocolTest, ObservabilityFieldsRoundTrip) {

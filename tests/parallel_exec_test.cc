@@ -8,7 +8,10 @@
 //   - single-flight: concurrent identical selections through a shared
 //     SourceCallCache cost exactly one source call;
 //   - makespan: with simulated per-cost latencies, measured wall clock
-//     tracks ComputeResponseTime's critical path, not the sequential sum.
+//     tracks ComputeResponseTime's critical path, not the sequential sum;
+//   - automatic mode: the default schedule stays on the caller's thread
+//     unless source calls wait (paced or remote), and then overlaps them
+//     with the serial run's answer and ledger.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +23,10 @@
 #include "exec/executor.h"
 #include "exec/source_call_cache.h"
 #include "mediator/mediator.h"
+#include "obs/trace.h"
 #include "plan/response_time.h"
+#include "protocol/remote_source.h"
+#include "protocol/source_server.h"
 #include "relational/reference_evaluator.h"
 #include "source/flaky_source.h"
 #include "source/simulated_source.h"
@@ -546,6 +552,7 @@ TEST(ParallelExecTest, MeasuredMakespanTracksCriticalPathNotTotalWork) {
   const Plan plan = FilterPlan();
   ExecOptions options;
   options.simulated_seconds_per_cost = 2e-3;  // each op sleeps ~2ms/cost-unit
+  options.parallelism = 1;  // the serial baseline
 
   const auto seq = ExecutePlan(plan, instance->catalog, instance->query,
                                options);
@@ -569,6 +576,111 @@ TEST(ParallelExecTest, MeasuredMakespanTracksCriticalPathNotTotalWork) {
   EXPECT_GE(seq->wall_clock_makespan, 0.95 * theory->total_work * scale);
   EXPECT_LT(par->wall_clock_makespan, seq->wall_clock_makespan / 1.5)
       << "parallel execution failed to overlap independent source calls";
+}
+
+// ---------------------------------------------------------------------------
+// Automatic mode: overlap only the source calls that wait
+// ---------------------------------------------------------------------------
+
+/// Enables the global tracer for one test and leaves it off and empty.
+class ScopedTracing {
+ public:
+  ScopedTracing() {
+    Tracer::Global().Clear();
+    Tracer::Global().Enable();
+  }
+  ~ScopedTracing() {
+    Tracer::Global().Disable();
+    Tracer::Global().Clear();
+  }
+};
+
+/// Thread ids of the plan-op spans recorded so far.
+std::vector<uint32_t> PlanOpThreads() {
+  std::vector<uint32_t> threads;
+  for (const SpanRecord& span : Tracer::Global().Snapshot()) {
+    if (span.category == SpanCategory::kPlanOp) {
+      threads.push_back(span.thread_id);
+    }
+  }
+  return threads;
+}
+
+TEST(AutomaticParallelismTest, UnpacedInProcessPlanRunsOnCallersThread) {
+  const auto instance = BuildDmvFigure1();
+  ASSERT_TRUE(instance.ok());
+  const Plan plan = FilterPlan();
+  ScopedTracing tracing;
+  const auto report =
+      ExecutePlan(plan, instance->catalog, instance->query, ExecOptions{});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::vector<uint32_t> threads = PlanOpThreads();
+  EXPECT_EQ(threads.size(), plan.num_ops());
+  for (const uint32_t thread : threads) {
+    EXPECT_EQ(thread, Tracer::CurrentThreadId());
+  }
+}
+
+TEST(AutomaticParallelismTest, PacedPlanOverlapsWithTheSerialLedger) {
+  // Two conditions over three paced sources: each source's two selections
+  // serialize, the three sources overlap.
+  const auto instance = BuildDmvFigure1();
+  ASSERT_TRUE(instance.ok());
+  const Plan plan = FilterPlan();
+  ExecOptions serial;
+  serial.simulated_seconds_per_cost = 2e-3;
+  serial.parallelism = 1;
+  ExecOptions automatic = serial;
+  automatic.parallelism.reset();
+  const auto seq =
+      ExecutePlan(plan, instance->catalog, instance->query, serial);
+  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+  const auto par =
+      ExecutePlan(plan, instance->catalog, instance->query, automatic);
+  ASSERT_TRUE(par.ok()) << par.status().ToString();
+  ExpectSameExecution(*seq, *par);
+  EXPECT_LT(par->wall_clock_makespan, seq->wall_clock_makespan / 1.5)
+      << "the automatic schedule failed to overlap paced source calls";
+}
+
+TEST(AutomaticParallelismTest, RemoteFederationOverlapsWithTheSerialLedger) {
+  // The Figure 1 sources behind loopback FUSIONP/1 servers: RemoteSource is
+  // not the in-process simulator, so its calls wait on the network and the
+  // default schedule runs them off the caller's thread, one lane each.
+  const auto instance = BuildDmvFigure1();
+  ASSERT_TRUE(instance.ok());
+  std::vector<std::unique_ptr<TcpSourceServer>> servers;
+  SourceCatalog remote_catalog;
+  for (const SimulatedSource* sim : instance->simulated) {
+    servers.push_back(std::make_unique<TcpSourceServer>(
+        std::make_unique<SimulatedSource>(*sim), TcpSourceServer::Options{}));
+    ASSERT_TRUE(servers.back()->Start().ok());
+    auto remote = RemoteSource::ConnectTcp(
+        {"127.0.0.1:" + std::to_string(servers.back()->port())});
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    ASSERT_TRUE(remote_catalog.Add(std::move(remote).value()).ok());
+  }
+  for (const Plan& plan : {FilterPlan(), SemijoinPlan(),
+                           DifferencePrunedPlan(), LoadPlan()}) {
+    ExecOptions serial;
+    serial.parallelism = 1;
+    const auto seq =
+        ExecutePlan(plan, remote_catalog, instance->query, serial);
+    ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+    ScopedTracing tracing;
+    const auto par =
+        ExecutePlan(plan, remote_catalog, instance->query, ExecOptions{});
+    ASSERT_TRUE(par.ok()) << par.status().ToString();
+    ExpectSameExecution(*seq, *par);
+    EXPECT_EQ(par->answer.ToString(), "{'J55', 'T21'}");
+    const std::vector<uint32_t> threads = PlanOpThreads();
+    EXPECT_EQ(threads.size(), plan.num_ops());
+    for (const uint32_t thread : threads) {
+      EXPECT_NE(thread, Tracer::CurrentThreadId())
+          << "a remote plan op ran on the caller's thread";
+    }
+  }
+  for (auto& server : servers) server->Stop();
 }
 
 }  // namespace

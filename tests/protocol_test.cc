@@ -3,10 +3,14 @@
 // including the key invariant that metered costs are identical whether a
 // source is called directly or across the serialized boundary.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <thread>
 
 #include "cost/oracle_cost_model.h"
@@ -14,6 +18,7 @@
 #include "optimizer/sja.h"
 #include "protocol/message.h"
 #include "protocol/remote_source.h"
+#include "protocol/socket.h"
 #include "protocol/source_server.h"
 #include "protocol/tcp_server.h"
 #include "relational/reference_evaluator.h"
@@ -117,6 +122,8 @@ TEST(ProtocolMessageTest, RejectsMalformedFrames) {
                     "end\n")
           .ok());
   EXPECT_FALSE(ParseRequest("FUSIONP/1 SELECT\ntrace 1 2x\nend\n").ok());
+  // Flags are strictly yes or no.
+  EXPECT_FALSE(ParseResponse("FUSIONP/1 OK\nload maybe\nend\n").ok());
 }
 
 TEST(ProtocolMessageTest, IgnoresUnknownFieldsForForwardCompat) {
@@ -241,6 +248,87 @@ TEST(RemoteSourceTest, GarbageTransportFailsCleanly) {
   auto remote = RemoteSource::Connect(
       [](const std::string&) { return std::string("NOISE"); });
   EXPECT_FALSE(remote.ok());
+}
+
+// ---------------------------------------------------------------------------
+// MessageSocket: frame assembly
+// ---------------------------------------------------------------------------
+
+/// A connected stream pair: frames are received on `reader`; the test
+/// writes raw bytes to `writer_fd` and closes it when done, so a missed
+/// terminator ends in "closed mid-message" instead of a hang.
+struct StreamPair {
+  MessageSocket reader;
+  int writer_fd = -1;
+};
+
+StreamPair MakeStreamPair() {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  return {MessageSocket(fds[0]), fds[1]};
+}
+
+void WriteAll(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+}
+
+TEST(MessageSocketTest, ReceivesAMultiMegabyteFrameSentInPieces) {
+  // 8 MiB of item lines, then a second small frame: both must come back
+  // byte-exact, the first with no trace of the second.
+  std::string big = "FUSIONP/1 OK\n";
+  for (int i = 0; big.size() < (8u << 20); ++i) {
+    big += "item s:value-" + std::to_string(i) + "\n";
+  }
+  big += "end\n";
+  const std::string small = "FUSIONP/1 OK\nname tail\nend\n";
+  StreamPair pair = MakeStreamPair();
+  std::thread writer([&] {
+    const std::string bytes = big + small;
+    // Uneven pieces, so frame and read boundaries never line up.
+    const size_t pieces[] = {1, 4093, 7, 65536, 3, 100003};
+    size_t at = 0;
+    for (size_t i = 0; at < bytes.size(); ++i) {
+      const size_t n = std::min(pieces[i % std::size(pieces)],
+                                bytes.size() - at);
+      WriteAll(pair.writer_fd, std::string_view(bytes).substr(at, n));
+      at += n;
+    }
+    ::close(pair.writer_fd);
+  });
+  const auto first = pair.reader.Receive();
+  const auto second = pair.reader.Receive();
+  writer.join();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(*first == big) << "frame of " << first->size() << " bytes";
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(*second, small);
+  EXPECT_EQ(pair.reader.Receive().status().code(), StatusCode::kUnavailable);
+}
+
+TEST(MessageSocketTest, FindsATerminatorSplitAcrossReads) {
+  // The resumed terminator search must look back over the bytes that ended
+  // the previous read: split "\nend\n" at each of its inner offsets.
+  const std::string frame = "FUSIONP/1 OK\nname split\nend\n";
+  for (size_t split = 1; split < 5; ++split) {
+    SCOPED_TRACE("split " + std::to_string(split));
+    StreamPair pair = MakeStreamPair();
+    const size_t cut = frame.size() - 5 + split;
+    std::thread writer([&] {
+      WriteAll(pair.writer_fd, std::string_view(frame).substr(0, cut));
+      // Let the reader take the first piece alone.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      WriteAll(pair.writer_fd, std::string_view(frame).substr(cut));
+      ::close(pair.writer_fd);
+    });
+    const auto received = pair.reader.Receive();
+    writer.join();
+    ASSERT_TRUE(received.ok()) << received.status().ToString();
+    EXPECT_EQ(*received, frame);
+  }
 }
 
 // ---------------------------------------------------------------------------
